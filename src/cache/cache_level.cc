@@ -120,65 +120,6 @@ CacheLevel::peek(Addr line) const
     return res;
 }
 
-void
-CacheLevel::peekBatch(const Addr *lines, std::size_t n,
-                      LookupResult *out) const
-{
-    const unsigned ways = _cfg.ways;
-    for (std::size_t i = 0; i < n; ++i) {
-        const Addr line = lines[i];
-        const unsigned set = setIndex(line);
-        const Addr *tags = &_tags[std::size_t(set) * ways];
-        LookupResult res;
-        res.setIndex = set;
-        // First match in ascending way order: scan the whole set
-        // branch-free, keeping the lowest matching way. kNoTag never
-        // equals a simulated line, so invalid ways cannot match.
-        unsigned way = ways;
-        for (unsigned w = ways; w-- > 0;) {
-            if (tags[w] == line)
-                way = w;
-        }
-        if (way < ways) {
-            res.hit = true;
-            res.way = way;
-        }
-        // Contract (see the header): position-identical to peek().
-        SLIP_CHECK_EXPENSIVE(
-            const LookupResult ref = peek(line);
-            SLIP_CHECK_MSG(res.hit == ref.hit &&
-                               res.setIndex == ref.setIndex &&
-                               (!ref.hit || res.way == ref.way),
-                           "peekBatch diverges from peek() for line "
-                           "%llx",
-                           static_cast<unsigned long long>(line)));
-        out[i] = res;
-    }
-}
-
-LookupResult
-CacheLevel::lookupPrepared(AccessClass cls, const LookupResult &peeked)
-{
-    _time = (_time + 1) & (_timeWrap - 1);
-
-    if (cls == AccessClass::Demand)
-        ++_stats.demandAccesses;
-    else
-        ++_stats.metadataAccesses;
-
-    if (_cfg.movementQueueEnabled)
-        chargeEnergy(EnergyCat::Other, obs::EnergyCause::MqProbe,
-                     _mq.lookup());
-
-    if (peeked.hit) {
-        if (cls == AccessClass::Demand)
-            ++_stats.demandHits;
-        else
-            ++_stats.metadataHits;
-    }
-    return peeked;
-}
-
 Cycles
 CacheLevel::recordHit(unsigned set, unsigned way, bool is_write,
                       AccessClass cls, bool update_metadata)

@@ -211,28 +211,6 @@ class CacheLevel
     LookupResult peek(Addr line) const;
 
     /**
-     * Probe @p n line addresses with no side effects, writing one
-     * LookupResult each into @p out. SoA form of peek(): the inner
-     * loop compares a chunk of references against the packed shadow
-     * tag words with no stats/energy bookkeeping interleaved, so the
-     * compiler can keep the whole scan in registers and vectorize it.
-     * Results are position-identical to calling peek() per element.
-     */
-    void peekBatch(const Addr *lines, std::size_t n,
-                   LookupResult *out) const;
-
-    /**
-     * Replay the side effects of lookup(@p line, @p cls) for a probe
-     * whose tag scan was already done by peekBatch(): advances T,
-     * counts the access (and hit), and charges the movement-queue
-     * probe — everything lookup() does except the scan itself. The
-     * caller must guarantee no tag/valid state changed in this level
-     * between the peek and this call, else @p peeked is stale.
-     */
-    LookupResult lookupPrepared(AccessClass cls,
-                                const LookupResult &peeked);
-
-    /**
      * Account a hit serviced from @p way: replacement touch, hit
      * counters (incl. per-sublevel), data access energy, metadata
      * (TL/policy) energy when @p update_metadata.

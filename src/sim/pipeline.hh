@@ -15,7 +15,8 @@
  * already simulated (TLB outcome, private-level latency, the ordered
  * list of dirty lines bound for the first shared level) and what the
  * merge stage still has to do (page-table updates, shared walks,
- * DRAM, statistics).
+ * DRAM, statistics). The serial loop passes the same descriptor from
+ * System::frontAccess to System::mergeRef on one thread.
  */
 
 #ifndef SLIP_SIM_PIPELINE_HH
@@ -44,10 +45,11 @@ enum : std::uint16_t {
     kRefWrite = 1u << 1,
     /** The front-end TLB missed (merge runs the shared miss work). */
     kRefTlbMiss = 1u << 2,
-    /** The TLB insert displaced kRefEvictedPage. */
+    /** The TLB insert displaced FrontRef::evictedPage. */
     kRefTlbEvict = 1u << 3,
-    // Full-front (private-levels-in-front) mode only:
+    /** Level 0 hit (set by whichever stage walked level 0). */
     kRefL1Hit = 1u << 4,
+    // Set by a full-front front end only:
     /** The demand walk missed every private level; the merge stage
      * continues it from the first shared level. */
     kRefDemandShared = 1u << 5,
@@ -72,8 +74,8 @@ struct FrontRef
     Addr line = 0;
     Addr evictedPage = 0;  ///< valid when kRefTlbEvict
     /** Latency accrued in the front-end (TLB-walk private portion +
-     * private demand walk); excludes the L1 base latency, which the
-     * merge stage accounts like the serial path. */
+     * private demand walk); like every stall term it excludes the L1
+     * base latency. */
     Cycles frontLat = 0;
     /** Dirty lines bound for the first shared level, in the exact
      * order the serial recursion would deliver them: [0, nPteWb) from

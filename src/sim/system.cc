@@ -26,6 +26,16 @@ defaultPolicies()
     return p;
 }
 
+/** Page context of a PTE or metadata line: always the Default SLIP. */
+PageCtx
+metadataCtx()
+{
+    PageCtx ctx;
+    ctx.policies = defaultPolicies();
+    ctx.useDefault = true;
+    return ctx;
+}
+
 } // namespace
 
 System::System(const SystemConfig &cfg)
@@ -122,6 +132,7 @@ System::System(const SystemConfig &cfg)
             lvl.ctrls.push_back(
                 pol->make(*lvl.units.back(), ctrl_slot, args));
         }
+        lvl.evs.resize(nunits);
         if (spec.coherent) {
             slip_assert(_coherentLevel < 0,
                         "at most one coherent level");
@@ -184,18 +195,6 @@ System::System(const SystemConfig &cfg)
     SLIP_CHECK(_coherentLevel < 0 ||
                static_cast<unsigned>(_coherentLevel) == _firstShared);
 
-    // SoA batch tag probes only pay off when the level-0 controller
-    // consumes pre-computed probes (see _batchProbe in the header).
-    _batchProbe = true;
-    for (const auto &ctrl : _levels[0].ctrls)
-        _batchProbe = _batchProbe && ctrl->prefersPrepared();
-    if (_batchProbe) {
-        _l1ProbeEpoch.assign(_levels[0].units.size(), 0);
-        _l1SetStamp.resize(_levels[0].units.size());
-        for (std::size_t u = 0; u < _levels[0].units.size(); ++u)
-            _l1SetStamp[u].assign(_levels[0].units[u]->numSets(), 0);
-    }
-
     // Post-construction hierarchy sanity (resolveHierarchy validated
     // the spec; these state what the built System relies on).
     SLIP_CHECK(_slipLevels.size() <= kMaxSlipLevels);
@@ -209,9 +208,6 @@ System::System(const SystemConfig &cfg)
                                "level %u breaks the private-prefix / "
                                "shared-suffix boundary at %u", i,
                                _firstShared));
-    SLIP_CHECK(!_batchProbe ||
-               (_l1ProbeEpoch.size() == _levels[0].units.size() &&
-                _l1SetStamp.size() == _levels[0].units.size()));
 }
 
 System::~System() = default;
@@ -252,27 +248,25 @@ System::recordRd(const PageCtx &ctx, int slot, int bin)
 }
 
 Cycles
-System::handleTlbMiss(unsigned core_id, Core &core, Addr page)
-{
-    Cycles lat = tlbMissShared(core_id, page);
-    Addr evicted = 0;
-    if (core.tlb.insert(page, evicted))
-        tlbEvictShared(core_id, evicted);
-    return lat;
-}
-
-Cycles
-System::tlbMissShared(unsigned core_id, Addr page)
+System::tlbMissShared(unsigned core_id, const pipe::FrontRef &fr,
+                      unsigned boundary)
 {
     Cycles lat = 0;
+    const Addr page = fr.page;
     const Addr block = rdBlock(page);
     Pte &pte = _pageTable.pte(block);
 
     // Page walk: the PTE line is fetched through the hierarchy. This
-    // exists in every configuration, so it is demand traffic.
-    if (_cfg.modelPageWalks)
-        lat += metadataAccess(core_id, _pageTable.pteLine(page), false,
-                              AccessClass::Demand);
+    // exists in every configuration, so it is demand traffic. A
+    // full-front front end already walked the private levels: the
+    // walk continues from the boundary only if it missed them all,
+    // and the writebacks its fills captured follow it.
+    if (_cfg.modelPageWalks &&
+        (boundary == 0 || (fr.flags & pipe::kRefPteShared)))
+        lat += fetch(core_id, _pageTable.pteLine(page), metadataCtx(),
+                     Fetch::Pte, std::max(boundary, 1u), nullptr);
+    for (unsigned k = 0; k < fr.nPteWb; ++k)
+        writebackToLevel(_firstShared, core_id, fr.wb[k], nullptr);
 
     if (_isSlip) {
         const Addr mline = _metadata.metadataLine(block);
@@ -370,53 +364,15 @@ Cycles
 System::metadataAccess(unsigned core_id, Addr line, bool is_write,
                        AccessClass cls)
 {
-    PageCtx ctx;
-    ctx.policies = defaultPolicies();
-    ctx.useDefault = true;  // metadata lines always use the Default SLIP
-
-    const unsigned nlevels = static_cast<unsigned>(_levels.size());
-
-    if (!is_write) {
-        // Allocating read path: outer levels -> DRAM with fills on
-        // the way back.
-        Cycles lat = 0;
-        unsigned hit_at = nlevels;  // sentinel: missed everywhere
-        for (unsigned i = 1; i < nlevels; ++i) {
-            Level &lvl = _levels[i];
-            AccessResult r =
-                lvl.ctrl(core_id, line).access(line, false, ctx, cls);
-            if (r.hit) {
-                lat += r.latency;
-                hit_at = i;
-                break;
-            }
-            lat += lvl.unit(core_id, line)
-                       .topology()
-                       .baselineLatency();
-        }
-        if (hit_at == nlevels) {
-            // Distribution-metadata line fetches count as metadata
-            // traffic at the DRAM; PTE walks are ordinary demand.
-            if (cls == AccessClass::Metadata)
-                _dram.metadataAccess(kLineSize * 8);
-            else
-                _dram.access(false);
-            lat += _dram.latency();
-        }
-        const int deepest_missed =
-            hit_at == nlevels ? static_cast<int>(nlevels) - 1
-                              : static_cast<int>(hit_at) - 1;
-        for (int i = deepest_missed; i >= 1; --i) {
-            Level &lvl = _levels[i];
-            lvl.ctrl(core_id, line).fill(line, false, ctx, lvl.evs);
-            drainEvictions(static_cast<unsigned>(i), core_id);
-        }
-        return lat;
-    }
+    if (!is_write)
+        return fetch(core_id, line, metadataCtx(),
+                     cls == AccessClass::Metadata ? Fetch::Metadata
+                                                  : Fetch::Pte,
+                     1, nullptr);
 
     // Non-allocating write-through: update in place where cached,
     // otherwise send the small record straight to DRAM.
-    for (unsigned i = 1; i < nlevels; ++i) {
+    for (unsigned i = 1; i < _levels.size(); ++i) {
         CacheLevel &unit = _levels[i].unit(core_id, line);
         const LookupResult lr = unit.lookup(line, cls);
         if (lr.hit)
@@ -430,62 +386,93 @@ System::metadataAccess(unsigned core_id, Addr line, bool is_write,
 }
 
 Cycles
-System::demandFetch(unsigned core_id, Addr line, const PageCtx &ctx)
+System::fetch(unsigned core_id, Addr line, const PageCtx &ctx,
+              Fetch kind, unsigned from, pipe::FrontRef *front)
 {
-    const unsigned nlevels = static_cast<unsigned>(_levels.size());
+    // Metadata fetches only exist under SLIP, which never runs its
+    // private levels on a front end (fullFrontEligible).
+    SLIP_CHECK(!front || kind != Fetch::Metadata);
+    const unsigned end = front ? _firstShared : numLevels();
+    const AccessClass cls = kind == Fetch::Metadata ? AccessClass::Metadata
+                                                    : AccessClass::Demand;
     Cycles lat = 0;
-    unsigned hit_at = nlevels;
-    for (unsigned i = 1; i < nlevels; ++i) {
+    unsigned hit_at = end;
+    for (unsigned i = from; i < end; ++i) {
         Level &lvl = _levels[i];
         AccessResult r =
-            lvl.ctrl(core_id, line).access(line, false, ctx,
-                                           AccessClass::Demand);
+            lvl.ctrl(core_id, line).access(line, false, ctx, cls);
+        if (kind == Fetch::Demand)
+            recordRd(ctx, lvl.slot,
+                     r.hit ? r.rdBin : static_cast<int>(kNumSublevels));
         if (r.hit) {
-            recordRd(ctx, lvl.slot, r.rdBin);
             lat += r.latency;
             hit_at = i;
             break;
         }
-        recordRd(ctx, lvl.slot, static_cast<int>(kNumSublevels));
         lat += lvl.unit(core_id, line).topology().baselineLatency();
     }
-    if (hit_at == nlevels)
-        lat += _dram.access(false);
-
-    const int deepest_missed = hit_at == nlevels
-                                   ? static_cast<int>(nlevels) - 1
-                                   : static_cast<int>(hit_at) - 1;
-    for (int i = deepest_missed; i >= 1; --i) {
-        Level &lvl = _levels[i];
-        lvl.ctrl(core_id, line).fill(line, false, ctx, lvl.evs);
-        drainEvictions(static_cast<unsigned>(i), core_id);
+    if (hit_at == end) {
+        if (front)
+            front->flags |= kind == Fetch::Demand ? pipe::kRefDemandShared
+                                                  : pipe::kRefPteShared;
+        else if (kind == Fetch::Metadata)
+            lat += _dram.metadataAccess(kLineSize * 8);
+        else
+            lat += _dram.access(false);
     }
+    // Fill the missed levels deepest first. On a front end these
+    // private fills run before the merge stage's shared fills — the
+    // reverse of the serial order — but neither side reads the
+    // other's state, and the shared-bound writebacks they capture are
+    // replayed after the shared fills, where serial produces them.
+    for (unsigned i = hit_at; i-- > from;)
+        fillLevel(i, core_id, line, false, ctx, front);
     return lat;
 }
 
 void
-System::writebackToLevel(unsigned i, unsigned core_id, Addr line)
+System::fillLevel(unsigned i, unsigned core_id, Addr line, bool dirty,
+                  const PageCtx &ctx, pipe::FrontRef *front)
 {
+    Level &lvl = _levels[i];
+    const unsigned u = lvl.unitIndex(core_id, line);
+    lvl.ctrls[u]->fill(line, dirty, ctx, lvl.evs[u]);
+    drainEvictions(i, core_id, u, front);
+}
+
+void
+System::writebackToLevel(unsigned i, unsigned core_id, Addr line,
+                         pipe::FrontRef *front)
+{
+    if (front && i >= _firstShared) {
+        // Crossing the private/shared boundary on a front end: capture
+        // the line for the merge stage (fullFrontEligible bounds the
+        // count).
+        slip_assert(front->nWb < pipe::kMaxFrontWb,
+                    "front-end writeback capture overflow");
+        front->wb[front->nWb++] = line;
+        return;
+    }
     PageCtx ctx = pageCtx(pageOfLine(line));
     ctx.collectRd = false;  // writebacks are not demand reuse
 
-    Level &lvl = _levels[i];
-    CacheLevel &unit = lvl.unit(core_id, line);
+    CacheLevel &unit = _levels[i].unit(core_id, line);
     const LookupResult lr = unit.lookup(line, AccessClass::Demand);
     if (lr.hit) {
         unit.recordWriteback(lr.setIndex, lr.way);
         return;
     }
-    lvl.ctrl(core_id, line).fill(line, true, ctx, lvl.evs);
-    drainEvictions(i, core_id);
+    fillLevel(i, core_id, line, true, ctx, front);
 }
 
 void
-System::drainEvictions(unsigned i, unsigned core_id)
+System::drainEvictions(unsigned i, unsigned core_id, unsigned u,
+                       pipe::FrontRef *front)
 {
     Level &lvl = _levels[i];
+    std::vector<Eviction> &evs = lvl.evs[u];
     const bool last = i + 1 == _levels.size();
-    for (const Eviction &ev : lvl.evs) {
+    for (const Eviction &ev : evs) {
         bool dirty = ev.dirty;
         if (static_cast<int>(i) == _coherentLevel) {
             // The line left the coherence point: its sharers are
@@ -496,9 +483,9 @@ System::drainEvictions(unsigned i, unsigned core_id)
         }
         if (lvl.spec.inclusive) {
             // Back-invalidate upper-level copies; a dirty copy there
-            // must reach the next level since this entry is gone.
-            // Level-0 invalidations stamp the set so a pre-computed
-            // batch probe of it is discarded (touchL1Set).
+            // must reach the next level since this entry is gone. A
+            // private level's upper levels are private too, so on a
+            // front end this touches only the worker's own core.
             for (unsigned j = 0; j < i; ++j) {
                 Level &upper = _levels[j];
                 if (upper.spec.shared) {
@@ -506,27 +493,17 @@ System::drainEvictions(unsigned i, unsigned core_id)
                     upper.unit(core_id, ev.lineAddr)
                         .invalidate(ev.lineAddr, &d);
                     dirty = dirty || d;
-                    if (j == 0)
-                        touchL1Set(upper.unitIndex(core_id,
-                                                   ev.lineAddr),
-                                   ev.lineAddr);
                 } else if (lvl.spec.shared) {
                     // Shared level evicting: any core may hold it.
-                    for (unsigned u = 0;
-                         u < static_cast<unsigned>(upper.units.size());
-                         ++u) {
+                    for (auto &unit : upper.units) {
                         bool d = false;
-                        upper.units[u]->invalidate(ev.lineAddr, &d);
+                        unit->invalidate(ev.lineAddr, &d);
                         dirty = dirty || d;
-                        if (j == 0)
-                            touchL1Set(u, ev.lineAddr);
                     }
                 } else {
                     bool d = false;
                     upper.units[core_id]->invalidate(ev.lineAddr, &d);
                     dirty = dirty || d;
-                    if (j == 0)
-                        touchL1Set(core_id, ev.lineAddr);
                 }
             }
             // Inclusivity post-condition: no copy remains in any unit
@@ -549,13 +526,15 @@ System::drainEvictions(unsigned i, unsigned core_id)
                 });
         }
         if (dirty) {
+            // A front end only drains private levels, never the last.
+            SLIP_CHECK(!front || !last);
             if (last)
                 _dram.access(true);
             else
-                writebackToLevel(i + 1, core_id, ev.lineAddr);
+                writebackToLevel(i + 1, core_id, ev.lineAddr, front);
         }
     }
-    lvl.evs.clear();
+    evs.clear();
 }
 
 void
@@ -563,96 +542,110 @@ System::access(unsigned core_id, const MemAccess &acc)
 {
     slip_assert(core_id < _cores.size(), "core %u out of range",
                 core_id);
-    accessImpl(core_id, acc, nullptr, nullptr);
+    pipe::FrontRef fr;
+    frontAccess(core_id, acc, fr, 0);
+    mergeRef(core_id, fr, 0);
 }
 
 void
-System::accessImpl(unsigned core_id, const MemAccess &acc,
-                   const LookupResult *peeked, const pipe::FrontRef *fr)
+System::frontAccess(unsigned core_id, const MemAccess &acc,
+                    pipe::FrontRef &fr, unsigned boundary)
 {
     Core &core = *_cores[core_id];
-    Level &l0 = _levels[0];
-    const unsigned u0 = l0.spec.shared ? 0 : core_id;
-    CacheLevel &l1 = *l0.units[u0];
-    LevelController &l1ctrl = *l0.ctrls[u0];
-    ++_accessTick;
-
-    Addr page, line;
-    bool is_write;
-    Cycles lat = 0;
-
-    if (fr) {
-        // Pipelined merge stage: the front-end already ran the
-        // context-switch check and the TLB; replay its outcome here
-        // so the shared work happens in serial order.
-        page = fr->page;
-        line = fr->line;
-        is_write = (fr->flags & pipe::kRefWrite) != 0;
-        if (fr->flags & pipe::kRefTlbMiss) {
-            perf::ScopedPhase tlb_scope(perf::Phase::Tlb);
-            lat += tlbMissShared(core_id, page);
-            if (fr->flags & pipe::kRefTlbEvict)
-                tlbEvictShared(core_id, fr->evictedPage);
-        }
-    } else {
-        if (_cfg.contextSwitchInterval &&
-            ++core.stats.accessesSinceSwitch >=
-                _cfg.contextSwitchInterval) {
-            core.tlb.flush();
-            core.stats.accessesSinceSwitch = 0;
-        }
-        page = pageAddr(acc.addr);
-        line = lineAddr(acc.addr);
-        is_write = acc.isWrite();
-        if (!core.tlb.lookup(page)) {
-            perf::ScopedPhase tlb_scope(perf::Phase::Tlb);
-            lat += handleTlbMiss(core_id, core, page);
+    if (_cfg.contextSwitchInterval &&
+        ++core.stats.accessesSinceSwitch >=
+            _cfg.contextSwitchInterval) {
+        core.tlb.flush();
+        core.stats.accessesSinceSwitch = 0;
+    }
+    fr.page = pageAddr(acc.addr);
+    fr.line = lineAddr(acc.addr);
+    if (acc.isWrite())
+        fr.flags |= pipe::kRefWrite;
+    if (!core.tlb.lookup(fr.page)) {
+        fr.flags |= pipe::kRefTlbMiss;
+        // The private prefix of the page walk; mergeRef finishes it.
+        if (boundary > 0 && _cfg.modelPageWalks)
+            fr.frontLat += fetch(core_id, _pageTable.pteLine(fr.page),
+                                 metadataCtx(), Fetch::Pte, 1, &fr);
+        fr.nPteWb = fr.nWb;
+        // The insert precedes the merge-side miss work, but no TLB
+        // operation happens in between, so the TLB ends in the state
+        // serial order leaves; the displacement rides in the descriptor.
+        Addr evicted = 0;
+        if (core.tlb.insert(fr.page, evicted)) {
+            fr.flags |= pipe::kRefTlbEvict;
+            fr.evictedPage = evicted;
         }
     }
+    if (boundary > 0)
+        fr.frontLat += demandAccess(core_id, fr, &fr);
+}
 
-    const PageCtx ctx = pageCtx(page);
-
+Cycles
+System::demandAccess(unsigned core_id, pipe::FrontRef &fr,
+                     pipe::FrontRef *front)
+{
+    // Level 0 is always private and baseline (resolveHierarchy).
+    const PageCtx ctx = pageCtx(fr.page);
+    const bool is_write = (fr.flags & pipe::kRefWrite) != 0;
     // The L1-hit traffic each simulated reference stands for (the
     // generators emit the post-L1 stream; see SystemConfig).
-    l1.chargeEnergy(EnergyCat::Access, obs::EnergyCause::DemandHit,
-                    _l1RefPj);
+    _levels[0].units[core_id]->chargeEnergy(
+        EnergyCat::Access, obs::EnergyCause::DemandHit, _l1RefPj);
+    const PageCtx l1ctx;  // the innermost level is SLIP-agnostic
+    if (_levels[0]
+            .ctrls[core_id]
+            ->access(fr.line, is_write, l1ctx, AccessClass::Demand)
+            .hit) {
+        fr.flags |= pipe::kRefL1Hit;
+        return 0;
+    }
+    const Cycles lat = fetch(core_id, fr.line, ctx, Fetch::Demand, 1,
+                             front);
+    fillLevel(0, core_id, fr.line, is_write, ctx, front);
+    return lat;
+}
 
-    perf::ScopedPhase walk_scope(perf::Phase::CacheWalk);
-    PageCtx l1ctx;  // the innermost level is SLIP-agnostic
-    AccessResult r1;
-    if (peeked &&
-        _l1SetStamp[u0][peeked->setIndex] != _l1ProbeEpoch[u0]) {
-        // Stamp-staleness protocol: a consumed batch probe must still
-        // match what a fresh tag scan of the set would return.
-        SLIP_CHECK_EXPENSIVE(
-            const LookupResult fresh = l1.peek(line);
-            SLIP_CHECK_MSG(fresh.hit == peeked->hit &&
-                               fresh.setIndex == peeked->setIndex &&
-                               (!fresh.hit || fresh.way == peeked->way),
-                           "stale batch probe consumed for line %llx",
-                           static_cast<unsigned long long>(line)));
-        r1 = l1ctrl.accessPrepared(line, is_write, l1ctx,
-                                   AccessClass::Demand, *peeked);
-    } else
-        r1 = l1ctrl.access(line, is_write, l1ctx, AccessClass::Demand);
-    lat += _l1Latency;
-    if (r1.hit) {
-        ++core.stats.l1Hits;
-    } else {
-        lat += demandFetch(core_id, line, ctx);
-        l1ctrl.fill(line, is_write, ctx, l0.evs);
-        touchL1Set(u0, line);
-        drainEvictions(0, core_id);
+void
+System::mergeRef(unsigned core_id, pipe::FrontRef &fr, unsigned boundary)
+{
+    // The shared-level work runs in the order serial produces it: PTE
+    // walk, PTE writebacks, demand walk, demand writebacks.
+    SLIP_CHECK_MSG(fr.nPteWb <= fr.nWb && fr.nWb <= pipe::kMaxFrontWb,
+                   "merge descriptor writeback counts out of range "
+                   "(%u pte, %u total)", fr.nPteWb, fr.nWb);
+    Core &core = *_cores[core_id];
+    ++_accessTick;
+    Cycles stall = fr.frontLat;
+
+    if (fr.flags & pipe::kRefTlbMiss) {
+        perf::ScopedPhase tlb_scope(perf::Phase::Tlb);
+        stall += tlbMissShared(core_id, fr, boundary);
+        if (fr.flags & pipe::kRefTlbEvict)
+            tlbEvictShared(core_id, fr.evictedPage);
     }
 
-    // Coherence-lite bookkeeping runs inside accessImpl so the merge
-    // stage of a pipelined run replays it in serial reference order
-    // for free (byte-identity with --run-threads 1).
+    perf::ScopedPhase walk_scope(perf::Phase::CacheWalk);
+    if (boundary == 0)
+        stall += demandAccess(core_id, fr, nullptr);
+    else if (fr.flags & pipe::kRefDemandShared)
+        stall += fetch(core_id, fr.line, pageCtx(fr.page), Fetch::Demand,
+                       boundary, nullptr);
+    for (unsigned k = fr.nPteWb; k < fr.nWb; ++k)
+        writebackToLevel(_firstShared, core_id, fr.wb[k], nullptr);
+    if (fr.flags & pipe::kRefL1Hit)
+        ++core.stats.l1Hits;
+
+    // Coherence-lite bookkeeping runs merge-side, so a pipelined run
+    // replays it in serial reference order (byte-identity with
+    // --run-threads 1).
     if (_coherentLevel >= 0)
-        coherenceDemand(core_id, line, is_write);
+        coherenceDemand(core_id, fr.line,
+                        (fr.flags & pipe::kRefWrite) != 0);
 
     ++core.stats.accesses;
-    core.stats.memStallCycles += static_cast<double>(lat - _l1Latency);
+    core.stats.memStallCycles += static_cast<double>(stall);
 
     if (_cfg.epochIntervalRefs != 0 &&
         ++_epochAccesses >= _cfg.epochIntervalRefs)
@@ -706,9 +699,7 @@ System::coherenceDemand(unsigned core_id, Addr line, bool is_write)
              j < static_cast<unsigned>(_coherentLevel); ++j) {
             // Every level above the coherence point is private
             // (validated in resolveHierarchy), so the sharer's copy
-            // can only live in its own per-core units. Level-0
-            // invalidations stamp the set so a pipelined front-end's
-            // pre-computed batch probe of it is discarded.
+            // can only live in its own per-core units.
             CacheLevel &priv = *_levels[j].units[c];
             priv.chargeEnergy(EnergyCat::Metadata,
                               obs::EnergyCause::Coherence,
@@ -716,8 +707,6 @@ System::coherenceDemand(unsigned core_id, Addr line, bool is_write)
             bool d = false;
             priv.invalidate(line, &d);
             dirty = dirty || d;
-            if (j == 0)
-                touchL1Set(c, line);
         }
         inval_ctr.add();
         ++_cohInvalidations;
@@ -829,11 +818,12 @@ System::run(const std::vector<AccessSource *> &sources,
         const unsigned nworkers =
             std::min<unsigned>(static_cast<unsigned>(_cores.size()),
                                nthreads - 1);
-        const bool full = fullFrontEligible();
-        runWindowPipelined(sources, warmup_per_core, nworkers, full);
+        const unsigned boundary = fullFrontEligible() ? _firstShared : 0;
+        runWindowPipelined(sources, warmup_per_core, nworkers, boundary);
         if (warmup_per_core > 0)
             resetStats();
-        runWindowPipelined(sources, accesses_per_core, nworkers, full);
+        runWindowPipelined(sources, accesses_per_core, nworkers,
+                           boundary);
     } else {
         runWindow(sources, warmup_per_core);
         if (warmup_per_core > 0)
@@ -901,17 +891,6 @@ System::runWindow(const std::vector<AccessSource *> &sources,
         ncores, std::vector<MemAccess>(kChunk));
     std::vector<std::size_t> got(ncores, 0);
 
-    // SoA batch tag probes (see _batchProbe): pre-probe each chunk's
-    // level-0 lookups in one vectorizable pass per core, then consume
-    // the results per reference unless the set was mutated meanwhile.
-    std::vector<std::vector<Addr>> lines;
-    std::vector<std::vector<LookupResult>> peeked;
-    if (_batchProbe) {
-        lines.assign(ncores, std::vector<Addr>(kChunk));
-        peeked.assign(ncores, std::vector<LookupResult>(kChunk));
-    }
-    const bool l0_shared = _levels[0].spec.shared;
-
     std::uint64_t remaining = accesses_per_core;
     while (remaining > 0) {
         const std::size_t n = static_cast<std::size_t>(
@@ -921,23 +900,10 @@ System::runWindow(const std::vector<AccessSource *> &sources,
             for (unsigned c = 0; c < ncores; ++c)
                 got[c] = sources[c]->nextBatch(buf[c].data(), n);
         }
-        if (_batchProbe) {
-            for (auto &epoch : _l1ProbeEpoch)
-                ++epoch;
-            for (unsigned c = 0; c < ncores; ++c) {
-                const unsigned u = l0_shared ? 0 : c;
-                for (std::size_t i = 0; i < got[c]; ++i)
-                    lines[c][i] = lineAddr(buf[c][i].addr);
-                _levels[0].units[u]->peekBatch(
-                    lines[c].data(), got[c], peeked[c].data());
-            }
-        }
         for (std::size_t i = 0; i < n; ++i)
             for (unsigned c = 0; c < ncores; ++c)
                 if (i < got[c])
-                    accessImpl(c, buf[c][i],
-                               _batchProbe ? &peeked[c][i] : nullptr,
-                               nullptr);
+                    access(c, buf[c][i]);
         remaining -= n;
     }
 }
@@ -957,7 +923,8 @@ System::fullFrontEligible() const
     //  - private-prefix / shared-suffix layout with at least one
     //    level on each side of the boundary;
     //  - no shared level inclusive (its back-invalidations reach
-    //    into other cores' private levels);
+    //    into other cores' private levels; an inclusive private
+    //    level only reaches its own core's levels above it);
     //  - the per-reference shared-bound writeback fan-out must fit
     //    the descriptor: one chain per private fill of the PTE and
     //    demand walks plus the level-0 fill chain.
@@ -976,7 +943,8 @@ System::fullFrontEligible() const
     // Coherence is subsumed by the inclusive check above (a coherent
     // level must resolve inclusive), but keep the direct test so the
     // TLB-front guarantee survives if that coupling ever loosens:
-    // coherenceDemand lives in accessImpl, which full-front skips.
+    // coherenceDemand invalidates private levels from the merge stage,
+    // which must not race a front end walking them.
     if (_coherentLevel >= 0)
         return false;
     if (2 * _firstShared + 2 > pipe::kMaxFrontWb)
@@ -985,316 +953,9 @@ System::fullFrontEligible() const
 }
 
 void
-System::frontAccessTlb(unsigned core_id, const MemAccess &acc,
-                       pipe::FrontRef &fr)
-{
-    Core &core = *_cores[core_id];
-    if (_cfg.contextSwitchInterval &&
-        ++core.stats.accessesSinceSwitch >=
-            _cfg.contextSwitchInterval) {
-        core.tlb.flush();
-        core.stats.accessesSinceSwitch = 0;
-    }
-    fr.page = pageAddr(acc.addr);
-    fr.line = lineAddr(acc.addr);
-    if (acc.isWrite())
-        fr.flags |= pipe::kRefWrite;
-    if (!core.tlb.lookup(fr.page)) {
-        // The serial path inserts after the miss handling, but no TLB
-        // operation happens in between, so inserting here leaves the
-        // TLB in the identical state; the merge stage replays the
-        // displacement from the descriptor.
-        fr.flags |= pipe::kRefTlbMiss;
-        Addr evicted = 0;
-        if (core.tlb.insert(fr.page, evicted)) {
-            fr.flags |= pipe::kRefTlbEvict;
-            fr.evictedPage = evicted;
-        }
-    }
-}
-
-Cycles
-System::frontWalk(unsigned core_id, Addr line, const PageCtx &ctx,
-                  FrontScratch &fs, pipe::FrontRef &fr, bool demand,
-                  bool &shared_miss)
-{
-    // The private-level prefix of demandFetch / the read path of
-    // metadataAccess. Fills for the missed private levels happen
-    // before the merge stage runs the shared fills — the reverse of
-    // the serial loop — but neither side reads the other's state, and
-    // shared-bound writebacks spawned here are replayed in capture
-    // order after the shared fills, exactly where the serial
-    // recursion would have produced them.
-    const unsigned first_shared = _firstShared;
-    Cycles lat = 0;
-    unsigned hit_at = first_shared;
-    for (unsigned i = 1; i < first_shared; ++i) {
-        Level &lvl = _levels[i];
-        AccessResult r = lvl.ctrl(core_id, line)
-                             .access(line, false, ctx,
-                                     AccessClass::Demand);
-        if (r.hit) {
-            if (demand)
-                recordRd(ctx, lvl.slot, r.rdBin);
-            lat += r.latency;
-            hit_at = i;
-            break;
-        }
-        if (demand)
-            recordRd(ctx, lvl.slot, static_cast<int>(kNumSublevels));
-        lat += lvl.unit(core_id, line).topology().baselineLatency();
-    }
-    shared_miss = hit_at == first_shared;
-    for (int i = static_cast<int>(hit_at) - 1; i >= 1; --i) {
-        Level &lvl = _levels[i];
-        lvl.ctrl(core_id, line).fill(line, false, ctx, fs.evs[i]);
-        frontDrain(static_cast<unsigned>(i), core_id, fs, fr);
-    }
-    return lat;
-}
-
-void
-System::frontWritebackToLevel(unsigned i, unsigned core_id, Addr line,
-                              FrontScratch &fs, pipe::FrontRef &fr)
-{
-    if (i >= _firstShared) {
-        // Crossing the private/shared boundary: capture the line for
-        // the merge stage instead (fullFrontEligible bounds the count).
-        slip_assert(fr.nWb < pipe::kMaxFrontWb,
-                    "front-end writeback capture overflow");
-        fr.wb[fr.nWb++] = line;
-        return;
-    }
-    PageCtx ctx = pageCtx(pageOfLine(line));
-    ctx.collectRd = false;  // writebacks are not demand reuse
-
-    Level &lvl = _levels[i];
-    CacheLevel &unit = lvl.unit(core_id, line);
-    const LookupResult lr = unit.lookup(line, AccessClass::Demand);
-    if (lr.hit) {
-        unit.recordWriteback(lr.setIndex, lr.way);
-        return;
-    }
-    lvl.ctrl(core_id, line).fill(line, true, ctx, fs.evs[i]);
-    frontDrain(i, core_id, fs, fr);
-}
-
-void
-System::frontDrain(unsigned i, unsigned core_id, FrontScratch &fs,
-                   pipe::FrontRef &fr)
-{
-    // drainEvictions for a private level on a front-end thread:
-    // never the hierarchy's last level (a shared level follows), and
-    // every upper level is private, so the serial back-invalidation
-    // reduces to this core's units.
-    Level &lvl = _levels[i];
-    for (const Eviction &ev : fs.evs[i]) {
-        bool dirty = ev.dirty;
-        if (lvl.spec.inclusive) {
-            for (unsigned j = 0; j < i; ++j) {
-                bool d = false;
-                _levels[j].units[core_id]->invalidate(ev.lineAddr, &d);
-                dirty = dirty || d;
-                if (j == 0)
-                    touchL1Set(core_id, ev.lineAddr);
-            }
-            SLIP_CHECK_EXPENSIVE(
-                for (unsigned j = 0; j < i; ++j)
-                    SLIP_CHECK(!_levels[j]
-                                    .units[core_id]
-                                    ->peek(ev.lineAddr)
-                                    .hit));
-        }
-        if (dirty)
-            frontWritebackToLevel(i + 1, core_id, ev.lineAddr, fs, fr);
-    }
-    fs.evs[i].clear();
-}
-
-void
-System::frontAccessFull(unsigned core_id, const MemAccess &acc,
-                        pipe::FrontRef &fr, FrontScratch &fs,
-                        const LookupResult *peeked)
-{
-    Core &core = *_cores[core_id];
-    Level &l0 = _levels[0];
-    CacheLevel &l1 = *l0.units[core_id];
-    LevelController &l1ctrl = *l0.ctrls[core_id];
-
-    if (_cfg.contextSwitchInterval &&
-        ++core.stats.accessesSinceSwitch >=
-            _cfg.contextSwitchInterval) {
-        core.tlb.flush();
-        core.stats.accessesSinceSwitch = 0;
-    }
-
-    fr.page = pageAddr(acc.addr);
-    fr.line = lineAddr(acc.addr);
-    if (acc.isWrite())
-        fr.flags |= pipe::kRefWrite;
-
-    Cycles lat = 0;
-    if (!core.tlb.lookup(fr.page)) {
-        fr.flags |= pipe::kRefTlbMiss;
-        if (_cfg.modelPageWalks) {
-            // Private prefix of the PTE walk (metadataAccess read
-            // path, demand class); the merge stage finishes it from
-            // the first shared level when every private level missed.
-            PageCtx mctx;
-            mctx.policies = defaultPolicies();
-            mctx.useDefault = true;
-            bool shared_miss = false;
-            lat += frontWalk(core_id, _pageTable.pteLine(fr.page),
-                             mctx, fs, fr, false, shared_miss);
-            if (shared_miss)
-                fr.flags |= pipe::kRefPteShared;
-        }
-        fr.nPteWb = fr.nWb;
-        Addr evicted = 0;
-        if (core.tlb.insert(fr.page, evicted)) {
-            fr.flags |= pipe::kRefTlbEvict;
-            fr.evictedPage = evicted;
-        }
-    }
-
-    const PageCtx ctx = pageCtx(fr.page);
-    l1.chargeEnergy(EnergyCat::Access, obs::EnergyCause::DemandHit,
-                    _l1RefPj);
-    PageCtx l1ctx;  // the innermost level is SLIP-agnostic
-    AccessResult r1;
-    if (peeked && _l1SetStamp[core_id][peeked->setIndex] !=
-                      _l1ProbeEpoch[core_id]) {
-        SLIP_CHECK_EXPENSIVE(
-            const LookupResult fresh = l1.peek(fr.line);
-            SLIP_CHECK_MSG(fresh.hit == peeked->hit &&
-                               fresh.setIndex == peeked->setIndex &&
-                               (!fresh.hit || fresh.way == peeked->way),
-                           "stale batch probe consumed for line %llx",
-                           static_cast<unsigned long long>(fr.line)));
-        r1 = l1ctrl.accessPrepared(fr.line, acc.isWrite(), l1ctx,
-                                   AccessClass::Demand, *peeked);
-    } else
-        r1 = l1ctrl.access(fr.line, acc.isWrite(), l1ctx,
-                           AccessClass::Demand);
-    if (r1.hit) {
-        fr.flags |= pipe::kRefL1Hit;
-    } else {
-        bool shared_miss = false;
-        lat += frontWalk(core_id, fr.line, ctx, fs, fr, true,
-                         shared_miss);
-        if (shared_miss)
-            fr.flags |= pipe::kRefDemandShared;
-        l1ctrl.fill(fr.line, acc.isWrite(), ctx, fs.evs[0]);
-        touchL1Set(core_id, fr.line);
-        frontDrain(0, core_id, fs, fr);
-    }
-    fr.frontLat = lat;
-}
-
-Cycles
-System::sharedWalkFill(unsigned core_id, Addr line, const PageCtx &ctx,
-                       AccessClass cls)
-{
-    // Shared-level suffix of demandFetch / metadataAccess's read
-    // path. recordRd is skipped: full-front mode implies non-SLIP,
-    // where it is a no-op. The full-miss DRAM charge matches both
-    // callers — demandFetch's access(false) returns the same latency
-    // metadataAccess adds explicitly.
-    const unsigned nlevels = static_cast<unsigned>(_levels.size());
-    Cycles lat = 0;
-    unsigned hit_at = nlevels;
-    for (unsigned i = _firstShared; i < nlevels; ++i) {
-        Level &lvl = _levels[i];
-        AccessResult r =
-            lvl.ctrl(core_id, line).access(line, false, ctx, cls);
-        if (r.hit) {
-            lat += r.latency;
-            hit_at = i;
-            break;
-        }
-        lat += lvl.unit(core_id, line).topology().baselineLatency();
-    }
-    if (hit_at == nlevels) {
-        if (cls == AccessClass::Metadata)
-            _dram.metadataAccess(kLineSize * 8);
-        else
-            _dram.access(false);
-        lat += _dram.latency();
-    }
-    const int deepest_missed =
-        hit_at == nlevels ? static_cast<int>(nlevels) - 1
-                          : static_cast<int>(hit_at) - 1;
-    for (int i = deepest_missed; i >= static_cast<int>(_firstShared);
-         --i) {
-        Level &lvl = _levels[i];
-        lvl.ctrl(core_id, line).fill(line, false, ctx, lvl.evs);
-        drainEvictions(static_cast<unsigned>(i), core_id);
-    }
-    return lat;
-}
-
-void
-System::mergeRef(unsigned core_id, const pipe::FrontRef &fr,
-                 bool full_front)
-{
-    if (!full_front) {
-        accessImpl(core_id, MemAccess{}, nullptr, &fr);
-        return;
-    }
-
-    // Full-front merge: the front-end already simulated the TLB and
-    // the private levels; run the shared-level portion in the exact
-    // order the serial recursion produces it — PTE shared walk, PTE
-    // writebacks, demand shared walk, demand writebacks.
-    SLIP_CHECK_MSG(fr.nPteWb <= fr.nWb && fr.nWb <= pipe::kMaxFrontWb,
-                   "merge descriptor writeback counts out of range "
-                   "(%u pte, %u total)", fr.nPteWb, fr.nWb);
-    Core &core = *_cores[core_id];
-    ++_accessTick;
-    Cycles lat = fr.frontLat;
-
-    if (fr.flags & pipe::kRefTlbMiss) {
-        perf::ScopedPhase tlb_scope(perf::Phase::Tlb);
-        // The serial path touches the PTE of every missing page (the
-        // stats dump counts pages touched) and of any TLB-evicted
-        // page; with non-SLIP policies nothing else survives — PTEs
-        // never go dirty and no distribution metadata exists.
-        _pageTable.pte(rdBlock(fr.page));
-        if (fr.flags & pipe::kRefPteShared) {
-            PageCtx mctx;
-            mctx.policies = defaultPolicies();
-            mctx.useDefault = true;
-            lat += sharedWalkFill(core_id, _pageTable.pteLine(fr.page),
-                                  mctx, AccessClass::Demand);
-        }
-        for (unsigned k = 0; k < fr.nPteWb; ++k)
-            writebackToLevel(_firstShared, core_id, fr.wb[k]);
-        if (fr.flags & pipe::kRefTlbEvict)
-            _pageTable.pte(rdBlock(fr.evictedPage));
-    }
-
-    perf::ScopedPhase walk_scope(perf::Phase::CacheWalk);
-    lat += _l1Latency;
-    if (fr.flags & pipe::kRefL1Hit) {
-        ++core.stats.l1Hits;
-    } else {
-        if (fr.flags & pipe::kRefDemandShared) {
-            const PageCtx ctx = pageCtx(fr.page);
-            lat += sharedWalkFill(core_id, fr.line, ctx,
-                                  AccessClass::Demand);
-        }
-        for (unsigned k = fr.nPteWb; k < fr.nWb; ++k)
-            writebackToLevel(_firstShared, core_id, fr.wb[k]);
-    }
-
-    ++core.stats.accesses;
-    core.stats.memStallCycles += static_cast<double>(lat - _l1Latency);
-}
-
-void
 System::runWindowPipelined(const std::vector<AccessSource *> &sources,
                            std::uint64_t accesses_per_core,
-                           unsigned nworkers, bool full_front)
+                           unsigned nworkers, unsigned boundary)
 {
     if (accesses_per_core == 0)
         return;
@@ -1320,14 +981,7 @@ System::runWindowPipelined(const std::vector<AccessSource *> &sources,
     for (unsigned w = 0; w < nworkers; ++w) {
         workers.emplace_back([&, w] {
             perf::ScopedPhase front_scope(perf::Phase::FrontEnd);
-            FrontScratch fs(_levels.size());
             std::vector<MemAccess> buf(kChunk);
-            std::vector<Addr> lines(kChunk);
-            std::vector<LookupResult> peeked(kChunk);
-            // Full-front owns its cores' level-0 units outright, so
-            // the SoA batch probe works there like in the serial loop
-            // (per-core stamp words; no cross-thread mutators).
-            const bool probe = full_front && _batchProbe;
             std::uint64_t remaining = accesses_per_core;
             while (remaining > 0) {
                 const std::size_t n = static_cast<std::size_t>(
@@ -1339,23 +993,11 @@ System::runWindowPipelined(const std::vector<AccessSource *> &sources,
                             perf::Phase::WorkloadGen);
                         got = sources[c]->nextBatch(buf.data(), n);
                     }
-                    if (probe) {
-                        ++_l1ProbeEpoch[c];
-                        for (std::size_t i = 0; i < got; ++i)
-                            lines[i] = lineAddr(buf[i].addr);
-                        _levels[0].units[c]->peekBatch(
-                            lines.data(), got, peeked.data());
-                    }
                     for (std::size_t i = 0; i < n; ++i) {
                         pipe::FrontRef fr;
                         if (i < got) {
                             fr.flags |= pipe::kRefPresent;
-                            if (full_front)
-                                frontAccessFull(c, buf[i], fr, fs,
-                                                probe ? &peeked[i]
-                                                      : nullptr);
-                            else
-                                frontAccessTlb(c, buf[i], fr);
+                            frontAccess(c, buf[i], fr, boundary);
                         }
                         // Absent slots still cross the queue so the
                         // merge stays aligned with the serial chunk
@@ -1381,7 +1023,7 @@ System::runWindowPipelined(const std::vector<AccessSource *> &sources,
                 for (unsigned c = 0; c < ncores; ++c) {
                     queues[c]->pop(fr);
                     if (fr.flags & pipe::kRefPresent)
-                        mergeRef(c, fr, full_front);
+                        mergeRef(c, fr, boundary);
                 }
             }
             remaining -= n;

@@ -177,6 +177,15 @@ class System
     /** Issue a single reference on @p core (tests drive this). */
     void access(unsigned core, const MemAccess &acc);
 
+    /**
+     * Whether a run with runThreads > 1 would walk the private levels
+     * on the front-end threads (full-front mode) rather than stop the
+     * front end at the TLB. Depends on the layout, the policies, and
+     * the attached epoch sink and trace state; see the implementation
+     * for the exact conditions.
+     */
+    bool fullFrontEligible() const;
+
     // ------------------------------------------------------------------
     // Hierarchy introspection
     // ------------------------------------------------------------------
@@ -367,8 +376,9 @@ class System
     };
 
     /** One hierarchy level: its resolved spec, one CacheLevel per
-     * unit (numCores for private levels, 1 for shared), the policy
-     * controllers (parallel to units), and drain scratch. */
+     * unit (numCores for private levels, slices for shared), the
+     * policy controllers and eviction scratch (both parallel to
+     * units). */
     struct Level
     {
         ResolvedLevel spec;
@@ -376,10 +386,12 @@ class System
         bool abp = false;  ///< policy's EOU pool includes all-bypass
         std::vector<std::unique_ptr<CacheLevel>> units;
         std::vector<std::unique_ptr<LevelController>> ctrls;
-        /** Scratch eviction list reused across accesses so the hot
+        /** Per-unit eviction lists reused across accesses so the hot
          * path performs no allocation; always drained (and cleared)
-         * before this level can fill again, so it never nests. */
-        std::vector<Eviction> evs;
+         * before the unit can fill again, so they never nest. Being
+         * per unit, a front-end thread draining its core's private
+         * units never shares a list with the merge stage. */
+        std::vector<std::vector<Eviction>> evs;
 
         /** Unit serving core @p c for @p line: the core's unit on
          * private levels, the line's address-interleaved slice on
@@ -409,27 +421,14 @@ class System
     };
 
     /**
-     * Per-worker scratch for full-front pipelined runs: private
-     * levels' eviction lists. The serial path reuses Level::evs, but
-     * a front-end thread draining its core's private levels must not
-     * share that scratch with the merge stage draining the shared
-     * levels concurrently.
+     * Merge-stage work of a TLB miss on @p fr.page: PTE creation, the
+     * page walk (from @p boundary onward, see mergeRef), sampling
+     * transition, metadata fetch, EOU.
      */
-    struct FrontScratch
-    {
-        std::vector<std::vector<Eviction>> evs;  ///< per level
+    Cycles tlbMissShared(unsigned core_id, const pipe::FrontRef &fr,
+                         unsigned boundary);
 
-        explicit FrontScratch(std::size_t nlevels) : evs(nlevels) {}
-    };
-
-    /** TLB miss: walk, state transition, metadata fetch, EOU. */
-    Cycles handleTlbMiss(unsigned core_id, Core &core, Addr page);
-
-    /** handleTlbMiss up to (excluding) the TLB insert: PTE creation,
-     * page walk, sampling transition, metadata fetch, EOU. */
-    Cycles tlbMissShared(unsigned core_id, Addr page);
-
-    /** handleTlbMiss after the TLB insert displaced @p evicted:
+    /** Merge-stage work of a TLB insert that displaced @p evicted:
      * distribution/PTE writebacks for the evicted page. */
     void tlbEvictShared(unsigned core_id, Addr evicted);
 
@@ -437,62 +436,34 @@ class System
     void runWindow(const std::vector<AccessSource *> &sources,
                    std::uint64_t accesses_per_core);
 
-    /** The access() body, with the context-switch check and the TLB
-     * already handled when @p fr is set (pipelined merge stage), and
-     * an optional pre-computed level-0 probe from peekBatch. */
-    void accessImpl(unsigned core_id, const MemAccess &acc,
-                    const LookupResult *peeked,
-                    const pipe::FrontRef *fr);
-
     // ------------------------------------------------------------------
-    // Pipelined run (--run-threads > 1; DESIGN.md §Intra-run
-    // parallelism). TLB-front mode works for every configuration;
-    // full-front mode additionally runs the private levels on the
-    // front-end threads when fullFrontEligible() holds.
+    // One reference = frontAccess + mergeRef (DESIGN.md §5b). Both
+    // take a boundary: the number of levels the front end walks. It
+    // is 0 in the serial loop and in TLB-front pipelined runs, and
+    // _firstShared in full-front runs (fullFrontEligible()). The
+    // serial loop runs both halves back to back on one thread; a
+    // pipelined run moves frontAccess to the worker threads.
     // ------------------------------------------------------------------
-
-    /** Layout/feature gate for running private levels in the
-     * front-end (see the implementation for the exact conditions). */
-    bool fullFrontEligible() const;
 
     /** runWindow split into per-core front-ends + a merge stage. */
     void runWindowPipelined(const std::vector<AccessSource *> &sources,
                             std::uint64_t accesses_per_core,
-                            unsigned nworkers, bool full_front);
+                            unsigned nworkers, unsigned boundary);
 
-    /** Front-end of one reference: context switch + TLB only. */
-    void frontAccessTlb(unsigned core_id, const MemAccess &acc,
-                        pipe::FrontRef &fr);
+    /** Front end of one reference: context switch, TLB, and with a
+     * nonzero @p boundary the private levels [0, boundary). */
+    void frontAccess(unsigned core_id, const MemAccess &acc,
+                     pipe::FrontRef &fr, unsigned boundary);
 
-    /** Front-end of one reference incl. the private-level walks,
-     * with an optional pre-computed level-0 probe. */
-    void frontAccessFull(unsigned core_id, const MemAccess &acc,
-                         pipe::FrontRef &fr, FrontScratch &fs,
-                         const LookupResult *peeked);
+    /** The rest of the reference @p fr: TLB-miss work, the levels
+     * from @p boundary on, captured writebacks, coherence, stats. */
+    void mergeRef(unsigned core_id, pipe::FrontRef &fr,
+                  unsigned boundary);
 
-    /** Merge-stage completion of one front-end reference. */
-    void mergeRef(unsigned core_id, const pipe::FrontRef &fr,
-                  bool full_front);
-
-    /** Private-level portion of demandFetch / the PTE walk; on an
-     * all-private miss the caller forwards to sharedWalkFill. */
-    Cycles frontWalk(unsigned core_id, Addr line, const PageCtx &ctx,
-                     FrontScratch &fs, pipe::FrontRef &fr,
-                     bool demand, bool &shared_miss);
-
-    /** writebackToLevel over private levels, capturing shared-bound
-     * lines into @p fr instead of crossing the boundary. */
-    void frontWritebackToLevel(unsigned i, unsigned core_id, Addr line,
-                               FrontScratch &fs, pipe::FrontRef &fr);
-
-    /** drainEvictions for private level @p i on a front-end thread. */
-    void frontDrain(unsigned i, unsigned core_id, FrontScratch &fs,
-                    pipe::FrontRef &fr);
-
-    /** Shared-level suffix of demandFetch/metadataAccess: walk levels
-     * [firstShared, N) down to DRAM with fills on the way back. */
-    Cycles sharedWalkFill(unsigned core_id, Addr line,
-                          const PageCtx &ctx, AccessClass cls);
+    /** Level 0 of the demand reference @p fr (sets kRefL1Hit) and, on
+     * a miss, the fetch from below and the level-0 fill. */
+    Cycles demandAccess(unsigned core_id, pipe::FrontRef &fr,
+                        pipe::FrontRef *front);
 
     /** Directory bookkeeping tail of a demand access: record @p
      * core_id as a sharer; on writes, first invalidate every other
@@ -515,38 +486,50 @@ class System
     /** Record one reuse-distance observation for a page at a slot. */
     void recordRd(const PageCtx &ctx, int slot, int bin);
 
+    /** What a fetch() reads: recordRd and the DRAM charge differ. */
+    enum class Fetch {
+        Demand,    ///< demand line: records reuse distances
+        Pte,       ///< page-walk PTE line (demand-class traffic)
+        Metadata,  ///< distribution-metadata line
+    };
+
     /**
-     * Demand read walking the outer levels (1..N-1) down to DRAM
-     * with fills on the way back.
-     * @return service latency below level 0
+     * The one read walk: look @p line up in levels [@p from, end),
+     * fetch it from DRAM when every level missed, and fill it into
+     * the missed levels on the way back. @p front selects the sink
+     * for effects that cross the private/shared boundary: null walks
+     * to DRAM and applies everything (serial and merge); non-null
+     * (front end) stops at _firstShared, flags a miss of every private
+     * level in *front, and captures shared-bound writebacks there.
+     * @return service latency of the walked levels
      */
-    Cycles demandFetch(unsigned core_id, Addr line, const PageCtx &ctx);
+    Cycles fetch(unsigned core_id, Addr line, const PageCtx &ctx,
+                 Fetch kind, unsigned from, pipe::FrontRef *front);
+
+    /** Install @p line in level @p i (the unit serving @p core_id)
+     * and drain the evictions it causes. */
+    void fillLevel(unsigned i, unsigned core_id, Addr line, bool dirty,
+                   const PageCtx &ctx, pipe::FrontRef *front);
 
     /** Route a dirty line evicted from level @p i - 1 into level
-     * @p i (non-allocating update when present, else a fill). */
-    void writebackToLevel(unsigned i, unsigned core_id, Addr line);
+     * @p i (non-allocating update when present, else a fill), or
+     * capture it in @p front when @p i is shared. */
+    void writebackToLevel(unsigned i, unsigned core_id, Addr line,
+                          pipe::FrontRef *front);
 
-    /** Process level @p i's eviction list: back-invalidate upper
-     * levels when inclusive, forward dirty lines downward. */
-    void drainEvictions(unsigned i, unsigned core_id);
+    /** Process unit @p u of level @p i's eviction list:
+     * back-invalidate upper levels when inclusive, forward dirty
+     * lines downward. */
+    void drainEvictions(unsigned i, unsigned core_id, unsigned u,
+                        pipe::FrontRef *front);
 
     /**
      * Metadata line read/write through the hierarchy (distribution
-     * fetches/writebacks, PTE walks). Non-allocating writes.
+     * fetches/writebacks, PTE writebacks). Non-allocating writes.
      * @return service latency
      */
     Cycles metadataAccess(unsigned core_id, Addr line, bool is_write,
                           AccessClass cls);
-
-    /** Mark level-0 unit @p u's set holding @p line as mutated since
-     * the current chunk's batch probe (batch-probe staleness). */
-    void
-    touchL1Set(unsigned u, Addr line)
-    {
-        if (_batchProbe)
-            _l1SetStamp[u][_levels[0].units[u]->setIndex(line)] =
-                _l1ProbeEpoch[u];
-    }
 
     SystemConfig _cfg;
 
@@ -556,20 +539,6 @@ class System
     double _l1RefPj;         ///< l1HitsPerMiss * l1AccessPj
     unsigned _rdBlockPages;
     Cycles _l1Latency = 4;   ///< level 0 baseline latency
-
-    // SoA batch tag probes: the run loop pre-probes each chunk's
-    // level-0 lookups in one vectorizable pass (CacheLevel::peekBatch)
-    // and replays the side effects per reference via accessPrepared.
-    // A probe is discarded when its set was mutated after the probe:
-    // every level-0 tag/valid mutation stamps the set with the current
-    // probe epoch (touchL1Set), and a reference whose set carries the
-    // current epoch falls back to a normal lookup. The epoch bumps
-    // once per chunk; a wrapped stamp aliases to "stale", which is
-    // merely conservative. Enabled only when the level-0 controller
-    // consumes prepared probes (BaselineController).
-    bool _batchProbe = false;
-    std::vector<std::vector<std::uint32_t>> _l1SetStamp;  ///< [unit][set]
-    std::vector<std::uint32_t> _l1ProbeEpoch;             ///< [unit]
 
     /** First shared level index (== numLevels() when none is shared
      * or a private level sits below a shared one). */

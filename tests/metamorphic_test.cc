@@ -199,21 +199,28 @@ TEST(MetamorphicJobsTest, ResultsIdenticalForAnyJobsValue)
     }
 }
 
-/** Full stats dump plus epoch-series JSON of one run of @p cfg at
- *  @p run_threads. The epoch series rides along so the byte-identity
- *  check also covers the --epoch-interval output that run reports
- *  embed — the sharded pipeline must roll epochs at the same merged
- *  reference ticks the serial loop does. */
+/** Full stats dump of one run of @p cfg at @p run_threads, plus the
+ *  epoch-series JSON when @p epochs is set. The epoch series rides
+ *  along so the byte-identity check also covers the --epoch-interval
+ *  output that run reports embed — the sharded pipeline must roll
+ *  epochs at the same merged reference ticks the serial loop does.
+ *  Epochs force the TLB-front pipeline mode, so a run without them is
+ *  the only way to exercise full-front; @p full_front states which
+ *  mode the configuration must select, so a silent fallback fails. */
 std::string
 dumpAtThreads(SystemConfig cfg, unsigned run_threads,
-              const std::vector<std::string> &benchmarks)
+              const std::vector<std::string> &benchmarks, bool epochs,
+              bool full_front)
 {
     cfg.runThreads = run_threads;
-    cfg.epochIntervalRefs = 5000;
+    cfg.epochIntervalRefs = epochs ? 5000 : 0;
     System sys(cfg);
     obs::EpochSeries series;
     series.intervalRefs = cfg.epochIntervalRefs;
-    sys.setEpochSink(&series);
+    if (epochs)
+        sys.setEpochSink(&series);
+    EXPECT_EQ(full_front, sys.fullFrontEligible())
+        << "unexpected pipeline mode";
     std::vector<std::unique_ptr<AccessSource>> owned;
     std::vector<AccessSource *> sources;
     for (unsigned c = 0; c < cfg.numCores; ++c) {
@@ -223,11 +230,13 @@ dumpAtThreads(SystemConfig cfg, unsigned run_threads,
         sources.push_back(owned.back().get());
     }
     sys.run(sources, kRefs, kWarmup);
-    sys.setEpochSink(nullptr);
-    EXPECT_GT(series.records.size(), 1u) << "vacuous epoch check";
     std::ostringstream os;
     dumpStats(sys, os);
-    os << obs::epochSeriesJson(series).dump() << '\n';
+    if (epochs) {
+        sys.setEpochSink(nullptr);
+        EXPECT_GT(series.records.size(), 1u) << "vacuous epoch check";
+        os << obs::epochSeriesJson(series).dump() << '\n';
+    }
     return os.str();
 }
 
@@ -254,9 +263,9 @@ privateLevel(const char *name, std::size_t size_kb, unsigned ways,
 
 /**
  * One simulation must be byte-identical for any intra-run thread
- * count, across both pipeline modes (TLB-only front end for SLIP and
- * inclusive hierarchies; full private-walk front end for baseline
- * ones) and 2-/3-/4-level shapes.
+ * count, across both pipeline modes (TLB-only front end for SLIP,
+ * inclusive-LLC and epoch-tracking runs; full private-walk front end
+ * for baseline ones without epochs) and 2-/3-/4-level shapes.
  */
 TEST(MetamorphicRunThreadsTest, DumpIdenticalForAnyThreadCount)
 {
@@ -271,6 +280,8 @@ TEST(MetamorphicRunThreadsTest, DumpIdenticalForAnyThreadCount)
         const char *what;
         SystemConfig cfg;
         std::vector<std::string> benchmarks;
+        /** Runs full-front once epochs are off (else TLB-front only). */
+        bool fullFront = false;
     };
     std::vector<Case> cases;
 
@@ -283,9 +294,40 @@ TEST(MetamorphicRunThreadsTest, DumpIdenticalForAnyThreadCount)
     {
         // 3-level baseline, four cores: the full-front pipeline mode
         // with private L1+L2 walks on the worker threads.
-        Case c{"baseline_3level_4cores", SystemConfig{}, {"soplex"}};
+        Case c{"baseline_3level_4cores", SystemConfig{}, {"soplex"},
+               true};
         c.cfg.policy = PolicyKind::Baseline;
         c.cfg.numCores = 4;
+        cases.push_back(c);
+    }
+    {
+        // Inclusive private L2 above a non-inclusive shared LLC:
+        // full-front with the L2's back-invalidations of the L1 on
+        // the worker threads. The 8-way L2 (hier3_multicore4's) evicts
+        // L1-resident lines often enough that a skipped invalidation
+        // changes the dump.
+        Case c{"baseline_inclusive_l2_2cores", SystemConfig{},
+               {"soplex", "mcf"}, true};
+        c.cfg.policy = PolicyKind::Baseline;
+        c.cfg.numCores = 2;
+        c.cfg.hierarchy = HierarchySpec::classic();
+        LevelSpec &l2 = c.cfg.hierarchy.levels[1];
+        l2.inclusive = Tri::On;
+        l2.ways = 8;
+        l2.sublevelWays = {2, 2, 4};
+        l2.waysPerRow = 2;
+        c.cfg.hierarchy.levels[2].inclusive = Tri::Off;
+        cases.push_back(c);
+    }
+    {
+        // Frequent context switches without page walks: TLB flushes
+        // on the worker threads and no PTE traffic.
+        Case c{"baseline_ctxswitch_nowalk_2cores", SystemConfig{},
+               {"mcf", "soplex"}, true};
+        c.cfg.policy = PolicyKind::Baseline;
+        c.cfg.numCores = 2;
+        c.cfg.contextSwitchInterval = 3000;
+        c.cfg.modelPageWalks = false;
         cases.push_back(c);
     }
     {
@@ -301,7 +343,7 @@ TEST(MetamorphicRunThreadsTest, DumpIdenticalForAnyThreadCount)
     {
         // 2-level baseline: the shortest full-front hierarchy.
         Case c{"baseline_2level_2cores", SystemConfig{},
-               {"mcf", "lbm"}};
+               {"mcf", "lbm"}, true};
         c.cfg.policy = PolicyKind::Baseline;
         c.cfg.numCores = 2;
         c.cfg.hierarchy.levels.push_back(
@@ -332,12 +374,20 @@ TEST(MetamorphicRunThreadsTest, DumpIdenticalForAnyThreadCount)
     }
 
     for (const Case &c : cases) {
-        SCOPED_TRACE(c.what);
-        const std::string serial = dumpAtThreads(c.cfg, 1, c.benchmarks);
-        for (unsigned threads : {2u, 4u}) {
-            EXPECT_EQ(serial, dumpAtThreads(c.cfg, threads,
-                                            c.benchmarks))
-                << c.what << " diverged at run_threads=" << threads;
+        for (bool epochs : {true, false}) {
+            if (!epochs && !c.fullFront)
+                continue;
+            SCOPED_TRACE(std::string(c.what) +
+                         (epochs ? " (epochs)" : " (full-front)"));
+            const bool full_front = !epochs && c.fullFront;
+            const std::string serial =
+                dumpAtThreads(c.cfg, 1, c.benchmarks, epochs, full_front);
+            for (unsigned threads : {2u, 4u}) {
+                EXPECT_EQ(serial, dumpAtThreads(c.cfg, threads,
+                                                c.benchmarks, epochs,
+                                                full_front))
+                    << c.what << " diverged at run_threads=" << threads;
+            }
         }
     }
     obs::setMetricsEnabled(metrics_before);
