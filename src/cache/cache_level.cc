@@ -44,6 +44,8 @@ CacheLevel::CacheLevel(const CacheLevelConfig &cfg)
     _lines.resize(std::size_t(_sets) * cfg.ways);
     _tags.assign(_lines.size(), kNoTag);
     _validMask.assign(_sets, 0);
+    if (cfg.trackSharers)
+        _sharers.assign(_lines.size(), 0);
     _repl = ReplacementPolicy::create(cfg.repl, cfg.seed);
 
     // T wraps every 4C accesses; TL is the top timestampBits of T.
@@ -86,11 +88,7 @@ CacheLevel::lookup(Addr line, AccessClass cls)
     else
         ++_stats.metadataAccesses;
 
-    // Every access probes the movement queue (Section 4.3).
-    if (_cfg.movementQueueEnabled)
-        chargeEnergy(EnergyCat::Other, obs::EnergyCause::MqProbe,
-                     _mq.lookup());
-
+    probeMovementQueue();
     LookupResult res = peek(line);
     if (res.hit) {
         if (cls == AccessClass::Demand)
@@ -211,6 +209,8 @@ CacheLevel::installLine(unsigned set, unsigned way, Addr line_addr,
     ln.demoted = false;
     _repl->onInsert(ln);
     syncShadow(set, way);
+    if (!_sharers.empty())
+        _sharers[std::size_t(set) * _cfg.ways + way] = 0;
 
     ++_stats.insertions;
     ++_stats.insertClass[static_cast<unsigned>(cls)];
@@ -237,6 +237,11 @@ CacheLevel::moveLine(unsigned set, unsigned from, unsigned to)
     _repl->onInsert(dst);
     syncShadow(set, from);
     syncShadow(set, to);
+    if (!_sharers.empty()) {
+        const std::size_t base = std::size_t(set) * _cfg.ways;
+        _sharers[base + to] = _sharers[base + from];
+        _sharers[base + from] = 0;
+    }
 
     ++_stats.movements;
     _ctrMovements->add();
@@ -277,6 +282,10 @@ CacheLevel::swapLines(unsigned set, unsigned a, unsigned b)
     _repl->onInsert(lb);
     syncShadow(set, a);
     syncShadow(set, b);
+    if (!_sharers.empty()) {
+        const std::size_t base = std::size_t(set) * _cfg.ways;
+        std::swap(_sharers[base + a], _sharers[base + b]);
+    }
 
     _stats.movements += 2;
     _ctrMovements->add(2);
@@ -306,6 +315,11 @@ CacheLevel::evictLine(unsigned set, unsigned way)
     ev.lineAddr = ln.tag;
     ev.dirty = ln.dirty;
     ev.policies = ln.policies;
+    if (!_sharers.empty()) {
+        std::uint64_t &word = _sharers[std::size_t(set) * _cfg.ways + way];
+        ev.sharers = word;
+        word = 0;
+    }
 
     ++_stats.reuseHistogram[std::min<std::uint32_t>(ln.hitCount, 3)];
     if (ln.dirty) {
@@ -324,10 +338,7 @@ CacheLevel::evictLine(unsigned set, unsigned way)
 bool
 CacheLevel::invalidate(Addr line, bool *was_dirty)
 {
-    // Invalidations must also probe the movement queue (Section 4.3).
-    if (_cfg.movementQueueEnabled)
-        chargeEnergy(EnergyCat::Other, obs::EnergyCause::MqProbe,
-                     _mq.lookup());
+    probeMovementQueue();
     LookupResult res = peek(line);
     if (!res.hit)
         return false;
@@ -337,6 +348,8 @@ CacheLevel::invalidate(Addr line, bool *was_dirty)
     ++_stats.reuseHistogram[std::min<std::uint32_t>(ln.hitCount, 3)];
     ln.invalidate();
     syncShadow(res.setIndex, res.way);
+    if (!_sharers.empty())
+        _sharers[std::size_t(res.setIndex) * _cfg.ways + res.way] = 0;
     SLIP_CHECK(!peek(line).hit);
     ++_stats.invalidations;
     _ctrInvalidations->add();
@@ -384,8 +397,12 @@ CacheLevel::checkInvariants() const
             slip_assert(_tags[std::size_t(s) * _cfg.ways + w] ==
                             (ln.valid ? ln.tag : kNoTag),
                         "tag shadow out of sync at (%u, %u)", s, w);
-            if (!ln.valid)
+            if (!ln.valid) {
+                slip_assert(_sharers.empty() ||
+                                sharers(s, w) == 0,
+                            "invalid way (%u, %u) keeps sharers", s, w);
                 continue;
+            }
             slip_assert(setIndex(ln.tag) == s,
                         "line 0x%llx stored in wrong set %u",
                         static_cast<unsigned long long>(ln.tag), s);

@@ -81,6 +81,12 @@ struct CacheLevelConfig
     bool movementQueueEnabled = true;
     /** Charge the 12 b SLIP metadata accesses (SLIP configs only). */
     bool slipMetadataEnabled = true;
+    /**
+     * Keep a 64-bit sharer word per way (the coherence directory of
+     * the coherent shared level; System sets it there only). Words
+     * travel with their line and read 0 on invalid ways.
+     */
+    bool trackSharers = false;
     std::uint64_t seed = 1;
 };
 
@@ -98,6 +104,8 @@ struct Eviction
     Addr lineAddr = 0;
     bool dirty = false;
     PolicyPair policies;
+    /** The line's sharer word (0 unless the level tracks sharers). */
+    std::uint64_t sharers = 0;
 };
 
 /** Aggregated per-level statistics. */
@@ -187,6 +195,18 @@ class CacheLevel
     const CacheLine &lineAt(unsigned set, unsigned way) const
     {
         return _lines[std::size_t(set) * _cfg.ways + way];
+    }
+
+    /** Sharer word of (set, way); only when config().trackSharers. */
+    std::uint64_t &sharers(unsigned set, unsigned way)
+    {
+        SLIP_CHECK(!_sharers.empty());
+        return _sharers[std::size_t(set) * _cfg.ways + way];
+    }
+    std::uint64_t sharers(unsigned set, unsigned way) const
+    {
+        SLIP_CHECK(!_sharers.empty());
+        return _sharers[std::size_t(set) * _cfg.ways + way];
     }
 
     /** First line of a set (for ReplacementPolicy calls). */
@@ -279,6 +299,16 @@ class CacheLevel
 
     /** All in-flight movements for the current access retired. */
     void drainMovements() { _mq.drainAll(); }
+
+    /** Probe the movement queue, as every lookup and invalidation
+     * does (Section 4.3); free on levels without one. */
+    void
+    probeMovementQueue()
+    {
+        if (_cfg.movementQueueEnabled)
+            chargeEnergy(EnergyCat::Other, obs::EnergyCause::MqProbe,
+                         _mq.lookup());
+    }
 
     /**
      * Invalidate @p line if present (coherence path). Probes the
@@ -389,6 +419,9 @@ class CacheLevel
     // which maintain these (checkInvariants verifies).
     std::vector<Addr> _tags;
     std::vector<std::uint32_t> _validMask;
+    /** Per-way sharer words, parallel to _lines; empty unless
+     * trackSharers. */
+    std::vector<std::uint64_t> _sharers;
 
     std::unique_ptr<ReplacementPolicy> _repl;
     MovementQueue _mq;

@@ -63,11 +63,11 @@ struct LevelSpec
     unsigned slices = 1;
 
     /**
-     * Coherence-lite (shared levels only): keep a per-line sharer
-     * bitmask directory alongside the level and write-invalidate
-     * other cores' private copies on demand writes. Requires the
-     * level to resolve inclusive so the directory stays a superset
-     * of the private levels above it.
+     * Coherence-lite (shared levels only): keep a sharer word per
+     * way of the level as its directory and write-invalidate other
+     * cores' private copies on demand writes. Requires the level to
+     * resolve inclusive so the directory stays a superset of the
+     * private levels above it.
      */
     bool coherent = false;
 

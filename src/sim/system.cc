@@ -126,6 +126,7 @@ System::System(const SystemConfig &cfg)
             c.repl = spec.repl;
             c.movementQueueEnabled = pol->movementQueue;
             c.slipMetadataEnabled = pol->slip;
+            c.trackSharers = spec.coherent;
             c.movementQueuePj = cfg.tech.movementQueuePj;
             c.seed = cfg.seed * spec.seedMul + spec.seedAdd + u;
             lvl.units.push_back(std::make_unique<CacheLevel>(c));
@@ -427,7 +428,35 @@ System::fetch(unsigned core_id, Addr line, const PageCtx &ctx,
     // replayed after the shared fills, where serial produces them.
     for (unsigned i = hit_at; i-- > from;)
         fillLevel(i, core_id, line, false, ctx, front);
+
+    // A line the coherence point (or DRAM below it) served into this
+    // core's private levels makes the core a sharer. Page-walk and
+    // distribution-metadata lines count too: the back-invalidation
+    // filter in drainEvictions must reach every private holder. A
+    // demand line also fills level 0 after this returns
+    // (demandAccess); that fill cannot displace it from the inclusive
+    // coherent level, so registering it here covers the L1 copy.
+    if (_coherentLevel >= 0) {
+        const unsigned coh = static_cast<unsigned>(_coherentLevel);
+        const unsigned first_filled = kind == Fetch::Demand ? 0 : from;
+        if (first_filled < coh && hit_at >= coh)
+            if (std::uint64_t *word = sharerWord(core_id, line))
+                *word |= std::uint64_t{1} << core_id;
+    }
     return lat;
+}
+
+std::uint64_t *
+System::sharerWord(unsigned core_id, Addr line)
+{
+    CacheLevel &home =
+        _levels[static_cast<unsigned>(_coherentLevel)].unit(core_id, line);
+    const LookupResult lr = home.peek(line);
+    // Inclusion: a line any private level holds or just received is
+    // present at its home slice.
+    SLIP_CHECK_MSG(lr.hit, "coherent level lost included line %llx",
+                   static_cast<unsigned long long>(line));
+    return lr.hit ? &home.sharers(lr.setIndex, lr.way) : nullptr;
 }
 
 void
@@ -474,18 +503,27 @@ System::drainEvictions(unsigned i, unsigned core_id, unsigned u,
     const bool last = i + 1 == _levels.size();
     for (const Eviction &ev : evs) {
         bool dirty = ev.dirty;
-        if (static_cast<int>(i) == _coherentLevel) {
-            // The line left the coherence point: its sharers are
-            // cleaned out by the inclusive back-invalidation below,
-            // so the directory entry is retired (mask 0 = absent).
-            if (std::uint64_t *mask = _directory.find(ev.lineAddr))
-                *mask = 0;
-        }
         if (lvl.spec.inclusive) {
             // Back-invalidate upper-level copies; a dirty copy there
             // must reach the next level since this entry is gone. A
             // private level's upper levels are private too, so on a
             // front end this touches only the worker's own core.
+            const bool coherent = static_cast<int>(i) == _coherentLevel;
+            // Holder coverage (DESIGN.md §5c): the coherent level's
+            // sharer word names every private unit holding the line,
+            // so the filtered sweep below misses no copy.
+            SLIP_CHECK_EXPENSIVE(
+                if (coherent)
+                    for (unsigned j = 0; j < i; ++j)
+                        for (unsigned c = 0; c < _levels[j].units.size();
+                             ++c)
+                            SLIP_CHECK_MSG(
+                                !_levels[j].units[c]->peek(ev.lineAddr).hit ||
+                                    ((ev.sharers >> c) & 1),
+                                "level %u unit %u holds line %llx "
+                                "without its sharer bit", j, c,
+                                static_cast<unsigned long long>(
+                                    ev.lineAddr)));
             for (unsigned j = 0; j < i; ++j) {
                 Level &upper = _levels[j];
                 if (upper.spec.shared) {
@@ -493,6 +531,22 @@ System::drainEvictions(unsigned i, unsigned core_id, unsigned u,
                     upper.unit(core_id, ev.lineAddr)
                         .invalidate(ev.lineAddr, &d);
                     dirty = dirty || d;
+                } else if (coherent) {
+                    // Only the sharers can hold the line, in ascending
+                    // core order. A skipped unit still pays the
+                    // movement-queue probe that every invalidation
+                    // sweep charges on levels with a queue.
+                    const bool mq =
+                        upper.units[0]->config().movementQueueEnabled;
+                    for (unsigned c = 0; c < upper.units.size(); ++c) {
+                        if ((ev.sharers >> c) & 1) {
+                            bool d = false;
+                            upper.units[c]->invalidate(ev.lineAddr, &d);
+                            dirty = dirty || d;
+                        } else if (mq) {
+                            upper.units[c]->probeMovementQueue();
+                        }
+                    }
                 } else if (lvl.spec.shared) {
                     // Shared level evicting: any core may hold it.
                     for (auto &unit : upper.units) {
@@ -655,24 +709,23 @@ System::mergeRef(unsigned core_id, pipe::FrontRef &fr, unsigned boundary)
 void
 System::coherenceDemand(unsigned core_id, Addr line, bool is_write)
 {
-    // Coherence-lite (DESIGN.md §5c): the coherent shared level is
-    // the coherence point and its inclusive directory is a per-line
-    // sharer bitmask in an append-only map (mask 0 = absent). Masks
-    // are conservative — a bit can outlive the private copy it
-    // describes (silent L1/L2 evictions are not reported), so a stale
-    // sharer costs one wasted modelled probe, never correctness.
-    // Directory traffic is background mesh traffic: it charges energy
-    // to the Coherence cause bin but adds no demand latency.
-    Level &lvl = _levels[static_cast<unsigned>(_coherentLevel)];
-    CacheLevel &slice = lvl.unit(core_id, line);
-    const std::uint64_t self = std::uint64_t{1} << core_id;
-
+    // Coherence-lite (DESIGN.md §5c): the directory is the sharer
+    // word of the line's way in the coherent level. Directory traffic
+    // is background mesh traffic: it charges energy to the Coherence
+    // cause bin but adds no demand latency.
     if (!is_write) {
-        // Read sharing: join the sharer set. The bit rides on the
-        // demand lookup that already probed this slice's tags, so no
-        // extra energy is charged.
-        _directory.getOrCreate(line, [] { return std::uint64_t{0}; }) |=
-            self;
+        // Read sharing needs no directory update: the fill that
+        // brought the line into this core's private levels registered
+        // the core (fetch), and a bit is cleared only together with
+        // the core's copies.
+        SLIP_CHECK_EXPENSIVE(if (const std::uint64_t *word =
+                                     sharerWord(core_id, line))
+                                 SLIP_CHECK_MSG(
+                                     (*word >> core_id) & 1,
+                                     "reader %u of line %llx is not a "
+                                     "sharer", core_id,
+                                     static_cast<unsigned long long>(
+                                         line)));
         return;
     }
 
@@ -684,12 +737,16 @@ System::coherenceDemand(unsigned core_id, Addr line, bool is_write)
         obs::counter("coherence.invalidations");
     probes_ctr.add();
     ++_cohWriteProbes;
+    Level &lvl = _levels[static_cast<unsigned>(_coherentLevel)];
+    CacheLevel &slice = lvl.unit(core_id, line);
     slice.chargeEnergy(EnergyCat::Metadata, obs::EnergyCause::Coherence,
                        slice.topology().metadataEnergy());
 
-    std::uint64_t &mask =
-        _directory.getOrCreate(line, [] { return std::uint64_t{0}; });
-    const std::uint64_t others = mask & ~self;
+    std::uint64_t *mask = sharerWord(core_id, line);
+    if (!mask)
+        return;
+    const std::uint64_t self = std::uint64_t{1} << core_id;
+    const std::uint64_t others = *mask & ~self;
     bool any_dirty = false;
     for (unsigned c = 0; c < _cores.size() && (others >> c) != 0; ++c) {
         if (!(others & (std::uint64_t{1} << c)))
@@ -713,24 +770,16 @@ System::coherenceDemand(unsigned core_id, Addr line, bool is_write)
         any_dirty = any_dirty || dirty;
     }
     if (any_dirty) {
-        // A peer's dirty copy folds into the coherence point before
-        // the writer proceeds. Inclusion guarantees the line is
-        // present here; the DRAM fallback only covers a copy whose
-        // home entry is mid-replacement.
+        // A peer's dirty copy folds into the coherence point (present:
+        // sharerWord found it) before the writer proceeds.
         static obs::Counter &wb_ctr =
             obs::counter("coherence.dirty_writebacks");
         const LookupResult lr = slice.peek(line);
-        SLIP_CHECK_MSG(lr.hit,
-                       "coherent level lost included line %llx",
-                       static_cast<unsigned long long>(line));
-        if (lr.hit) {
-            slice.recordWriteback(lr.setIndex, lr.way);
-            wb_ctr.add();
-            ++_cohDirtyWritebacks;
-        } else
-            _dram.access(true);
+        slice.recordWriteback(lr.setIndex, lr.way);
+        wb_ctr.add();
+        ++_cohDirtyWritebacks;
     }
-    mask = self;  // write-invalidate leaves the writer sole sharer
+    *mask = self;  // write-invalidate leaves the writer sole sharer
 }
 
 obs::EnergyLedger
@@ -1154,8 +1203,8 @@ System::resetStats()
         eou->resetStats();
 
     // Coherence counters restart with the measurement window; the
-    // directory itself is contents, not stats, and survives the reset
-    // just like the tag arrays.
+    // sharer words are line state of the coherent level, not stats,
+    // and survive the reset just like the tag arrays.
     _cohWriteProbes = 0;
     _cohInvalidations = 0;
     _cohDirtyWritebacks = 0;

@@ -40,7 +40,6 @@
 #include "slip/eou.hh"
 #include "tlb/page_table.hh"
 #include "tlb/tlb.hh"
-#include "util/flat_map.hh"
 
 namespace slip {
 
@@ -304,9 +303,8 @@ class System
     std::uint64_t eouOperations() const;
 
     // ------------------------------------------------------------------
-    // Coherence-lite (per-line sharer directory on the one coherent
-    // shared level; see DESIGN.md §5c). All zero when no level is
-    // coherent.
+    // Coherence-lite (a sharer word per way of the one coherent shared
+    // level; see DESIGN.md §5c). All zero when no level is coherent.
     // ------------------------------------------------------------------
 
     bool coherenceEnabled() const { return _coherentLevel >= 0; }
@@ -465,10 +463,16 @@ class System
     Cycles demandAccess(unsigned core_id, pipe::FrontRef &fr,
                         pipe::FrontRef *front);
 
-    /** Directory bookkeeping tail of a demand access: record @p
-     * core_id as a sharer; on writes, first invalidate every other
-     * sharer's private copies (write-invalidate). */
+    /** Directory tail of a demand access. A write invalidates every
+     * other sharer's private copies and leaves @p core_id the sole
+     * sharer; a read changes nothing (fetch registered the reader
+     * when the line entered its private levels). */
     void coherenceDemand(unsigned core_id, Addr line, bool is_write);
+
+    /** The sharer word of @p line at its home slice of the coherent
+     * level; null when the line is absent (inclusion forbids that
+     * for any line a private level holds). */
+    std::uint64_t *sharerWord(unsigned core_id, Addr line);
 
     /** Close the current epoch: record ledger deltas, emit the event. */
     void rollEpoch();
@@ -496,7 +500,9 @@ class System
     /**
      * The one read walk: look @p line up in levels [@p from, end),
      * fetch it from DRAM when every level missed, and fill it into
-     * the missed levels on the way back. @p front selects the sink
+     * the missed levels on the way back; a line that comes from the
+     * coherent level or below into a private level registers @p
+     * core_id as its sharer. @p front selects the sink
      * for effects that cross the private/shared boundary: null walks
      * to DRAM and applies everything (serial and merge); non-null
      * (front end) stops at _firstShared, flags a miss of every private
@@ -518,7 +524,8 @@ class System
                           pipe::FrontRef *front);
 
     /** Process unit @p u of level @p i's eviction list:
-     * back-invalidate upper levels when inclusive, forward dirty
+     * back-invalidate upper levels when inclusive (at the coherent
+     * level only the sharers the line's word names), forward dirty
      * lines downward. */
     void drainEvictions(unsigned i, unsigned core_id, unsigned u,
                         pipe::FrontRef *front);
@@ -544,15 +551,14 @@ class System
      * or a private level sits below a shared one). */
     unsigned _firstShared = 0;
 
-    // Coherence-lite state. The directory maps demand line addresses
-    // to a sharer-core bitmask (numCores <= 64 enforced when a level
-    // is coherent); mask 0 marks an entry whose line left the
-    // coherent level. The mask is conservative — a core's bit stays
-    // set after its private copies are silently evicted — so
-    // invalidations may probe cores that no longer hold the line,
-    // which only costs modelled energy.
+    // Coherence-lite state. The directory is the coherent level's
+    // per-way sharer word (CacheLevel::sharers; numCores <= 64
+    // enforced when a level is coherent), so it is exactly as large
+    // as that level and leaves with the line. The word is
+    // conservative — a core's bit stays set after its private copies
+    // are silently evicted — so invalidations may probe cores that no
+    // longer hold the line, which only costs modelled energy.
     int _coherentLevel = -1;  ///< level index, -1 when none
-    PageMap<std::uint64_t> _directory;
     std::uint64_t _cohWriteProbes = 0;
     std::uint64_t _cohInvalidations = 0;
     std::uint64_t _cohDirtyWritebacks = 0;

@@ -539,21 +539,17 @@ runScenario(const Scenario &s, unsigned run_threads)
 }
 
 /**
- * Golden fixture for the 4-core shared-coherent-LLC scenario:
+ * Golden-fixture check for a 4-core shared-coherent-LLC scenario:
  * serial and pipelined runs must both reproduce the checked-in
  * stats dump byte-for-byte (the merge stage replays directory
  * bookkeeping in serial reference order), the ledger must still
  * partition every level's energy with the coherence bin live, and
  * the slice/coherence counters must be present and nonzero.
- * SLIP_GOLDEN_REGEN=1 rewrites tests/golden/shared4.Baseline.txt.
+ * SLIP_GOLDEN_REGEN=1 rewrites the fixture.
  */
-TEST(ScenarioEndToEnd, SharedCoherentLlcGolden)
+void
+checkSharedGolden(const Scenario &s, const std::string &fixture)
 {
-    Scenario s;
-    ASSERT_EQ(loadScenarioFile(std::string(SLIP_SCENARIO_DIR) +
-                                   "/hier3_shared4.json",
-                               s),
-              "");
     ASSERT_EQ(s.cores, 4u);
 
     obs::setMetricsEnabled(true);
@@ -590,8 +586,7 @@ TEST(ScenarioEndToEnd, SharedCoherentLlcGolden)
     dumpStats(sys, os);
     const std::string got = os.str();
 
-    const std::string path =
-        std::string(SLIP_GOLDEN_DIR) + "/shared4.Baseline.txt";
+    const std::string path = std::string(SLIP_GOLDEN_DIR) + "/" + fixture;
     if (std::getenv("SLIP_GOLDEN_REGEN")) {
         std::ofstream out(path, std::ios::binary);
         ASSERT_TRUE(out.good()) << "cannot write fixture " << path;
@@ -608,6 +603,44 @@ TEST(ScenarioEndToEnd, SharedCoherentLlcGolden)
     const std::string piped = runScenario(s, 4);
     EXPECT_EQ(got, piped)
         << "--run-threads 4 diverged from the serial shared-LLC dump";
+}
+
+TEST(ScenarioEndToEnd, SharedCoherentLlcGolden)
+{
+    Scenario s;
+    ASSERT_EQ(loadScenarioFile(std::string(SLIP_SCENARIO_DIR) +
+                                   "/hier3_shared4.json",
+                               s),
+              "");
+    checkSharedGolden(s, "shared4.Baseline.txt");
+}
+
+/**
+ * The same shape with SLIP+ABP on the private L2 and the coherent
+ * LLC (the fig16_shared policy layout). A SLIP-managed private level
+ * has a movement queue, and every back-invalidation sweep probes it
+ * whether or not the unit holds the line, so this fixture pins the
+ * movement-queue energy of the filtered sweep as well as the SLIP
+ * walk under coherence. Its stats dump was generated before the
+ * sharer mask moved into the LLC's line state.
+ */
+TEST(ScenarioEndToEnd, SharedCoherentLlcSlipGolden)
+{
+    Scenario s;
+    ASSERT_EQ(loadScenarioFile(std::string(SLIP_SCENARIO_DIR) +
+                                   "/hier3_shared4.json",
+                               s),
+              "");
+    s.policy = "slip+abp";
+    ASSERT_EQ(s.hierarchy.levels.size(), 3u);
+    s.hierarchy.levels[1].policy.clear();  // inherit slip+abp
+    {
+        const System probe(scenarioSystemConfig(s));
+        ASSERT_TRUE(probe.levelSlip(1));
+        ASSERT_TRUE(probe.levelSlip(2));
+        ASSERT_TRUE(probe.levelUnit(1, 0).config().movementQueueEnabled);
+    }
+    checkSharedGolden(s, "shared4.SLIP.txt");
 }
 
 } // namespace
