@@ -31,6 +31,7 @@ CacheLevel::CacheLevel(const CacheLevelConfig &cfg)
     : _cfg(cfg),
       _topo(cfg.topology, cfg.energy, cfg.ways, cfg.sublevelWays,
             cfg.waysPerRow),
+      _repl(cfg.repl, cfg.seed),
       _mq(cfg.movementQueueEntries, cfg.movementQueuePj)
 {
     slip_assert(cfg.sizeBytes % (std::uint64_t(cfg.ways) * kLineSize) ==
@@ -44,9 +45,9 @@ CacheLevel::CacheLevel(const CacheLevelConfig &cfg)
     _lines.resize(std::size_t(_sets) * cfg.ways);
     _tags.assign(_lines.size(), kNoTag);
     _validMask.assign(_sets, 0);
+    _replWords.assign(_lines.size(), 0);
     if (cfg.trackSharers)
         _sharers.assign(_lines.size(), 0);
-    _repl = ReplacementPolicy::create(cfg.repl, cfg.seed);
 
     // T wraps every 4C accesses; TL is the top timestampBits of T.
     _timeWrap = 4 * numLines();
@@ -124,8 +125,8 @@ CacheLevel::recordHit(unsigned set, unsigned way, bool is_write,
 {
     CacheLine &ln = lineAt(set, way);
     slip_assert(ln.valid, "hit on invalid line");
-    _repl->onHit(ln);
-    ++ln.hitCount;
+    _repl.onHit(_replWords[std::size_t(set) * _cfg.ways + way]);
+    ln.hitCount += ln.hitCount != 0xff;  // saturate
     if (is_write)
         ln.dirty = true;
 
@@ -162,32 +163,31 @@ CacheLevel::chooseVictim(unsigned set, std::uint32_t way_mask,
 {
     slip_assert(way_mask != 0, "empty way mask");
     // An invalid way in the mask wins outright under every policy,
-    // lowest way first — the same answer each policy's own scan
-    // would produce, found with one bit test on the shadow mask.
+    // lowest way first, found with one bit test on the shadow mask;
+    // the policies below only ever rank valid ways.
     const std::uint32_t inv = way_mask & ~_validMask[set];
     if (inv)
         return static_cast<unsigned>(std::countr_zero(inv));
-    CacheLine *lines = setArray(set);
+    std::uint64_t *words = &_replWords[std::size_t(set) * _cfg.ways];
 
     if (prefer_demoted) {
-        // LRU-PEA: demoted lines are evicted first; among them pick the
-        // least recently used. Invalid ways still take precedence.
-        unsigned best = _cfg.ways;
-        std::uint64_t best_stamp = ~0ull;
-        for (unsigned w = 0; w < _cfg.ways; ++w) {
-            if (!((way_mask >> w) & 1))
-                continue;
-            if (!lines[w].valid)
-                return w;
-            if (lines[w].demoted && lines[w].lruStamp <= best_stamp) {
-                best_stamp = lines[w].lruStamp;
-                best = w;
-            }
+        std::uint32_t demoted = 0;
+        const CacheLine *lines = &lineAt(set, 0);
+        for (std::uint32_t m = way_mask; m; m &= m - 1) {
+            const int w = std::countr_zero(m);
+            if (lines[w].demoted)
+                demoted |= 1u << w;
         }
-        if (best < _cfg.ways)
-            return best;
+        // Only LRU ranks recency; under RRIP or random replacement all
+        // demoted lines rank equal and the highest way goes first.
+        if (demoted)
+            return _repl.kind() == ReplKind::Lru
+                       ? ReplacementPolicy::lruVictim(words, _cfg.ways,
+                                                      demoted)
+                       : 31u - static_cast<unsigned>(
+                                   std::countl_zero(demoted));
     }
-    return _repl->victim(lines, _cfg.ways, way_mask);
+    return _repl.victim(words, _cfg.ways, way_mask);
 }
 
 void
@@ -207,7 +207,7 @@ CacheLevel::installLine(unsigned set, unsigned way, Addr line_addr,
     ln.tl = tlNow();
     ln.hitCount = 0;
     ln.demoted = false;
-    _repl->onInsert(ln);
+    _repl.onInsert(_replWords[std::size_t(set) * _cfg.ways + way]);
     syncShadow(set, way);
     if (!_sharers.empty())
         _sharers[std::size_t(set) * _cfg.ways + way] = 0;
@@ -234,11 +234,11 @@ CacheLevel::moveLine(unsigned set, unsigned from, unsigned to)
 
     dst = src;
     src.invalidate();
-    _repl->onInsert(dst);
+    const std::size_t base = std::size_t(set) * _cfg.ways;
+    _repl.onInsert(_replWords[base + to]);
     syncShadow(set, from);
     syncShadow(set, to);
     if (!_sharers.empty()) {
-        const std::size_t base = std::size_t(set) * _cfg.ways;
         _sharers[base + to] = _sharers[base + from];
         _sharers[base + from] = 0;
     }
@@ -262,7 +262,7 @@ CacheLevel::recordWriteback(unsigned set, unsigned way)
 {
     CacheLine &ln = lineAt(set, way);
     slip_assert(ln.valid, "writeback into invalid line");
-    _repl->onHit(ln);
+    _repl.onHit(_replWords[std::size_t(set) * _cfg.ways + way]);
     ln.dirty = true;
     chargeEnergy(EnergyCat::Movement, obs::EnergyCause::Writeback,
                  _topo.wayAccessEnergy(way));
@@ -278,14 +278,13 @@ CacheLevel::swapLines(unsigned set, unsigned a, unsigned b)
     slip_assert(la.valid && lb.valid, "swapping invalid lines");
 
     std::swap(la, lb);
-    _repl->onInsert(la);
-    _repl->onInsert(lb);
+    const std::size_t base = std::size_t(set) * _cfg.ways;
+    _repl.onInsert(_replWords[base + a]);
+    _repl.onInsert(_replWords[base + b]);
     syncShadow(set, a);
     syncShadow(set, b);
-    if (!_sharers.empty()) {
-        const std::size_t base = std::size_t(set) * _cfg.ways;
+    if (!_sharers.empty())
         std::swap(_sharers[base + a], _sharers[base + b]);
-    }
 
     _stats.movements += 2;
     _ctrMovements->add(2);

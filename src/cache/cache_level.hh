@@ -19,7 +19,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -209,11 +208,8 @@ class CacheLevel
         return _sharers[std::size_t(set) * _cfg.ways + way];
     }
 
-    /** First line of a set (for ReplacementPolicy calls). */
-    CacheLine *setArray(unsigned set)
-    {
-        return &_lines[std::size_t(set) * _cfg.ways];
-    }
+    /** Sharer words held: numLines() when tracking sharers, else 0. */
+    std::size_t sharerWords() const { return _sharers.size(); }
 
     // ------------------------------------------------------------------
     // Lookup path
@@ -247,9 +243,12 @@ class CacheLevel
     std::uint32_t sublevelMask(unsigned sl_begin, unsigned sl_end) const;
 
     /**
-     * Choose a victim way among @p way_mask using the underlying
-     * replacement policy (invalid ways first).
-     * @param prefer_demoted LRU-PEA's priority eviction of demoted lines
+     * Choose a victim way among @p way_mask: the lowest invalid way if
+     * there is one (the only invalid-first rule), else the underlying
+     * replacement policy's pick.
+     * @param prefer_demoted LRU-PEA's priority eviction of demoted
+     *        lines: the least recent demoted line under LRU, the
+     *        highest demoted way under policies without recency
      */
     unsigned chooseVictim(unsigned set, std::uint32_t way_mask,
                           bool prefer_demoted = false);
@@ -413,17 +412,21 @@ class CacheLevel
     std::vector<CacheLine> _lines;
 
     // Tag-probe shadows of _lines: a packed tag array plus a per-set
-    // valid bitmask, so peek() touches 16 bytes per inspected way
+    // valid bitmask, so peek() touches 8 bytes per inspected way
     // instead of a whole CacheLine. Tag/valid state changes only in
     // installLine / moveLine / swapLines / evictLine / invalidate,
     // which maintain these (checkInvariants verifies).
     std::vector<Addr> _tags;
     std::vector<std::uint32_t> _validMask;
+    /** Per-way replacement words (LRU stamp / RRIP rrpv), parallel to
+     * _lines; meaningful on valid ways only, every one of which was
+     * stamped by onInsert when it became valid. */
+    std::vector<std::uint64_t> _replWords;
     /** Per-way sharer words, parallel to _lines; empty unless
      * trackSharers. */
     std::vector<std::uint64_t> _sharers;
 
-    std::unique_ptr<ReplacementPolicy> _repl;
+    ReplacementPolicy _repl;
     MovementQueue _mq;
 
     std::uint64_t _time = 0;      ///< per-level access counter T

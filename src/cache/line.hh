@@ -6,8 +6,8 @@
  * metadata the paper budgets (Section 4.3, Figure 7): the 3 b SLIP codes
  * for both lower levels (copied alongside the line so eviction decisions
  * never re-probe the TLB) and a 6 b insertion timestamp TL used for
- * online reuse-distance measurement. A scratch byte holds baseline-policy
- * state (LRU-PEA's demoted flag, DRRIP's RRPV).
+ * online reuse-distance measurement. One flag holds LRU-PEA's demoted
+ * state.
  */
 
 #ifndef SLIP_CACHE_LINE_HH
@@ -34,7 +34,11 @@ struct PolicyPair
     }
 };
 
-/** One cache line's bookkeeping state. */
+/**
+ * One cache line's bookkeeping state, 16 bytes. Replacement state (the
+ * LRU stamp or RRIP rrpv) is not here: the level keeps it as one word
+ * per way beside its tags (CacheLevel, DESIGN.md §5d).
+ */
 struct CacheLine
 {
     Addr tag = 0;            ///< full line address (tag ∪ index)
@@ -44,11 +48,14 @@ struct CacheLine
     PolicyPair policies;     ///< 6 b of SLIP codes (both levels)
     std::uint8_t tl = 0;     ///< 6 b insertion/last-access timestamp
 
-    std::uint64_t lruStamp = 0;  ///< recency for LRU replacement
-    std::uint8_t rrpv = 0;       ///< DRRIP re-reference prediction value
-    bool demoted = false;        ///< LRU-PEA priority-eviction flag
+    bool demoted = false;    ///< LRU-PEA priority-eviction flag
 
-    std::uint32_t hitCount = 0;  ///< hits since insertion (Figure 1)
+    /**
+     * Hits since insertion, saturating at 255. Only min(hitCount, 3)
+     * is ever read (the Figure 1 reuse histogram), so saturation is
+     * exact.
+     */
+    std::uint8_t hitCount = 0;
 
     /** Clear everything (an invalidation). */
     void
@@ -57,13 +64,15 @@ struct CacheLine
         valid = false;
         dirty = false;
         tl = 0;
-        lruStamp = 0;
-        rrpv = 0;
         demoted = false;
         hitCount = 0;
         policies = PolicyPair{};
     }
 };
+
+static_assert(sizeof(CacheLine) == 16,
+              "CacheLine grew: per-way replacement state belongs in "
+              "CacheLevel's word array");
 
 } // namespace slip
 

@@ -7,16 +7,19 @@
  * only answers "which line in this way mask should be displaced?". The
  * evaluation uses LRU; an RRIP-family policy (Section 7's DRRIP
  * adaptation) and a random policy are provided as well.
+ *
+ * A policy keeps no per-line state of its own. Each way has one 64-bit
+ * replacement word, stored by the cache level beside its tags: the LRU
+ * stamp or the RRIP rrpv (unused by random replacement). The level
+ * prefers invalid ways itself, so victim() only ranks valid ways.
  */
 
 #ifndef SLIP_CACHE_REPLACEMENT_HH
 #define SLIP_CACHE_REPLACEMENT_HH
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
-#include "cache/line.hh"
 #include "util/random.hh"
 
 namespace slip {
@@ -34,100 +37,83 @@ const char *replCliName(ReplKind kind);
 /** Parse a CLI/scenario replacement key; false on unknown names. */
 bool parseReplKind(const std::string &v, ReplKind &out);
 
-/** Victim selection over a way mask; state lives in the lines. */
+/**
+ * Victim selection over a way mask, on per-way replacement words.
+ *
+ * LRU: the word is a stamp from a per-level clock, so stamps of valid
+ * lines are unique. RRIP: the word is the rrpv; insertion is SRRIP
+ * with a bimodal (BRRIP-style) component, i.e. the static-dueling
+ * simplification of DRRIP, and victim search and aging are confined
+ * to the candidate mask, which is exactly the §7 per-sublevel-metadata
+ * adaptation. Random: uniform over the mask.
+ */
 class ReplacementPolicy
 {
   public:
-    virtual ~ReplacementPolicy() = default;
-
-    virtual const char *name() const = 0;
-
-    /** A line was referenced. */
-    virtual void onHit(CacheLine &line) = 0;
-
-    /** A line was (re)inserted or moved into a way. */
-    virtual void onInsert(CacheLine &line) = 0;
-
-    /**
-     * Choose a victim way among the ways set in @p way_mask.
-     * Invalid ways are always preferred. @p way_mask must be nonzero.
-     *
-     * @param set   the set's lines
-     * @param ways  associativity
-     * @param way_mask bit i set when way i is a candidate
-     */
-    virtual unsigned victim(CacheLine *set, unsigned ways,
-                            std::uint32_t way_mask) = 0;
-
-    /** Factory. */
-    static std::unique_ptr<ReplacementPolicy> create(ReplKind kind,
-                                                     std::uint64_t seed);
-};
-
-/** Exact LRU via monotonically increasing stamps. */
-class LruReplacement : public ReplacementPolicy
-{
-  public:
-    const char *name() const override { return "lru"; }
-    void onHit(CacheLine &line) override { line.lruStamp = ++_clock; }
-    void onInsert(CacheLine &line) override { line.lruStamp = ++_clock; }
-    unsigned victim(CacheLine *set, unsigned ways,
-                    std::uint32_t way_mask) override;
-
-  private:
-    std::uint64_t _clock = 0;
-};
-
-/**
- * SRRIP with a bimodal (BRRIP-style) insertion component, i.e. the
- * static-dueling simplification of DRRIP. Victim search and RRPV aging
- * are confined to the candidate way mask, which is exactly the §7
- * per-sublevel-metadata adaptation.
- */
-class RripReplacement : public ReplacementPolicy
-{
-  public:
-    explicit RripReplacement(std::uint64_t seed, unsigned rrpv_bits = 2,
-                             unsigned bimodal_one_in = 32)
-        : _rng(seed), _max((1u << rrpv_bits) - 1),
-          _bimodalOneIn(bimodal_one_in)
+    ReplacementPolicy(ReplKind kind, std::uint64_t seed)
+        : _kind(kind), _rng(seed)
     {}
 
-    const char *name() const override { return "rrip"; }
-    void onHit(CacheLine &line) override { line.rrpv = 0; }
+    ReplKind kind() const { return _kind; }
 
+    /** A line was referenced. */
     void
-    onInsert(CacheLine &line) override
+    onHit(std::uint64_t &word)
     {
-        // Mostly "long" re-reference interval; occasionally "distant"
-        // for thrash resistance.
-        line.rrpv = _rng.oneIn(_bimodalOneIn)
-                        ? _max
-                        : static_cast<std::uint8_t>(_max - 1);
+        if (_kind == ReplKind::Lru)
+            word = ++_clock;
+        else if (_kind == ReplKind::Rrip)
+            word = 0;
     }
 
-    unsigned victim(CacheLine *set, unsigned ways,
-                    std::uint32_t way_mask) override;
+    /** A line was (re)inserted or moved into a way. */
+    void
+    onInsert(std::uint64_t &word)
+    {
+        if (_kind == ReplKind::Lru) {
+            word = ++_clock;
+        } else if (_kind == ReplKind::Rrip) {
+            // Mostly "long" re-reference interval; occasionally
+            // "distant" for thrash resistance.
+            word = _rng.oneIn(kBimodalOneIn) ? kMaxRrpv : kMaxRrpv - 1;
+        }
+    }
+
+    /**
+     * Choose a victim among the ways set in @p way_mask, which must be
+     * nonzero and name only valid ways.
+     *
+     * @param words the set's replacement words (RRIP ages them)
+     * @param ways  associativity (at most 32)
+     */
+    unsigned victim(std::uint64_t *words, unsigned ways,
+                    std::uint32_t way_mask);
+
+    /**
+     * The least-recent way of @p way_mask by stamp, as a branch-free
+     * masked minimum over (stamp, 31 - way) keys: on equal stamps the
+     * highest way wins. Stamps must stay below 2^59.
+     */
+    static unsigned
+    lruVictim(const std::uint64_t *words, unsigned ways,
+              std::uint32_t way_mask)
+    {
+        std::uint64_t best = ~std::uint64_t{0};
+        for (unsigned w = 0; w < ways; ++w) {
+            const std::uint64_t key = (words[w] << 5) | (31 - w);
+            const std::uint64_t cand =
+                ((way_mask >> w) & 1) ? key : ~std::uint64_t{0};
+            best = cand < best ? cand : best;
+        }
+        return 31 - static_cast<unsigned>(best & 31);
+    }
 
   private:
-    Random _rng;
-    std::uint8_t _max;
-    unsigned _bimodalOneIn;
-};
+    static constexpr std::uint64_t kMaxRrpv = 3;  ///< 2 b rrpv: distant
+    static constexpr std::uint64_t kBimodalOneIn = 32;
 
-/** Uniform-random victim (invalid-first). */
-class RandomReplacement : public ReplacementPolicy
-{
-  public:
-    explicit RandomReplacement(std::uint64_t seed) : _rng(seed) {}
-
-    const char *name() const override { return "random"; }
-    void onHit(CacheLine &) override {}
-    void onInsert(CacheLine &) override {}
-    unsigned victim(CacheLine *set, unsigned ways,
-                    std::uint32_t way_mask) override;
-
-  private:
+    ReplKind _kind;
+    std::uint64_t _clock = 0;  ///< LRU stamp source
     Random _rng;
 };
 

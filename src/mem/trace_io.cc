@@ -35,6 +35,9 @@ constexpr std::uint8_t kHeadWrite = 1u << 0;
 constexpr std::uint8_t kHeadCore = 1u << 1;
 constexpr std::uint8_t kHeadKnown = kHeadWrite | kHeadCore;
 constexpr unsigned kMaxVarintBytes = 10;
+/** Longest valid SLIPTRC2 record: head + core, address and icount
+ * varints. */
+constexpr std::size_t kTrc2MaxRecordBytes = 1 + 3 * kMaxVarintBytes;
 constexpr std::size_t kIoChunk = 1u << 18;  // 256 KB
 
 std::uint64_t
@@ -49,6 +52,23 @@ zigzagDecode(std::uint64_t v)
 {
     return static_cast<std::int64_t>(v >> 1) ^
            -static_cast<std::int64_t>(v & 1);
+}
+
+/**
+ * Decode a LEB128 varint starting at @p p, which must have
+ * kMaxVarintBytes readable bytes. Returns the byte after it, or
+ * nullptr when it runs past kMaxVarintBytes.
+ */
+const std::uint8_t *
+decodeVarint(const std::uint8_t *p, std::uint64_t &v)
+{
+    v = 0;
+    for (unsigned i = 0; i < kMaxVarintBytes; ++i) {
+        v |= std::uint64_t(p[i] & 0x7f) << (7 * i);
+        if ((p[i] & 0x80) == 0)
+            return p + i + 1;
+    }
+    return nullptr;
 }
 
 void
@@ -524,6 +544,41 @@ TraceReader::rewind()
 }
 
 bool
+TraceReader::decodeSliptrc2(TraceRecord &out)
+{
+    const std::uint8_t *p = &_buf[_pos];
+    const std::uint8_t head = *p++;
+    if ((head & ~kHeadKnown) != 0)
+        return false;
+    unsigned core = _core;
+    if (head & kHeadCore) {
+        std::uint64_t c;
+        p = decodeVarint(p, c);
+        if (p == nullptr || c >= _info.coreCount)
+            return false;
+        core = static_cast<unsigned>(c);
+    }
+    std::uint64_t zz, ic = 1;
+    p = decodeVarint(p, zz);
+    if (p == nullptr)
+        return false;
+    if (_info.hasIcount && (p = decodeVarint(p, ic)) == nullptr)
+        return false;
+
+    _core = core;
+    const std::uint64_t addr =
+        _prevAddr[core] + static_cast<std::uint64_t>(zigzagDecode(zz));
+    _prevAddr[core] = addr;
+    out.core = core;
+    out.addr = addr;
+    out.write = (head & kHeadWrite) != 0;
+    out.icountDelta = ic;
+    _pos = static_cast<std::size_t>(p - _buf.data());
+    ++_nread;
+    return true;
+}
+
+bool
 TraceReader::nextSliptrc2(TraceRecord &out, std::string &err)
 {
     if (_nread == _info.recordCount) {
@@ -537,6 +592,12 @@ TraceReader::nextSliptrc2(TraceRecord &out, std::string &err)
         return false;
     }
 
+    if (_len - _pos >= kTrc2MaxRecordBytes && decodeSliptrc2(out))
+        return true;
+
+    // Byte-wise path: records near the window's end (which may span a
+    // refill) and every record the whole-record decoder refused, so
+    // each error is reported with its exact offset.
     const std::uint64_t start = offset();
     const int head = getByte(err);
     if (head < 0) {

@@ -166,6 +166,10 @@ class TraceReader
     int getByte(std::string &err);
     std::string readVarint(std::uint64_t &v, const char *what);
     std::string parseHeader();
+    /** Decode one whole record in place from the window (which must
+     * hold kTrc2MaxRecordBytes); false, with nothing consumed, on any
+     * record that does not validate. */
+    bool decodeSliptrc2(TraceRecord &out);
     bool nextSliptrc2(TraceRecord &out, std::string &err);
     bool nextSliptrc1(TraceRecord &out, std::string &err);
     bool nextText(TraceRecord &out, std::string &err);

@@ -82,6 +82,9 @@ StatusStream::emitStart(const std::string &key, const std::string &label)
 void
 StatusStream::emitFinish(const SweepRunner::RunRecord &rec)
 {
+    // Stamped under the lock, so finish lines carry increasing ts_ms
+    // in file order.
+    std::unique_lock<std::mutex> lock(_mu);
     const double ts = nowMs();
     json::Value v = json::Value::object();
     v["event"] = "finish";
@@ -96,8 +99,6 @@ StatusStream::emitFinish(const SweepRunner::RunRecord &rec)
         ? static_cast<double>(rec.done) / static_cast<double>(rec.total)
         : 0.0;
     v["eta_seconds"] = etaSeconds(rec.done, rec.total, ts * 1e-3);
-
-    std::unique_lock<std::mutex> lock(_mu);
     v.writeCompact(*_os);
     *_os << '\n' << std::flush;
 }

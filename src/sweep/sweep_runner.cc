@@ -166,16 +166,21 @@ SweepRunner::execute(Task &task)
         else
             ++_stats.executed;
         _stats.simSeconds += secs;
-        rec.done = ++_completed;
-        rec.total = _memo.size();
-        _records.push_back(rec);
     }
 
     // Deliver the value before the progress hook so a slow printer
     // never delays consumers of the future.
     task.promise.set_value(std::move(r));
 
-    std::unique_lock<std::mutex> lock(_progressMu);
+    // Number the record and hand it to the hook in one critical
+    // section, so hooks see `done` strictly increasing.
+    std::unique_lock<std::mutex> progress_lock(_progressMu);
+    {
+        std::unique_lock<std::mutex> lock(_mu);
+        rec.done = ++_completed;
+        rec.total = _memo.size();
+        _records.push_back(rec);
+    }
     if (_progress)
         _progress(rec);
 }

@@ -56,7 +56,9 @@ class SweepRunner
         double simSeconds = 0;     ///< summed per-run wall-clock
     };
 
-    /** Called after each run completes; serialized by the runner. */
+    /** Called after each run completes; serialized by the runner,
+     * which numbers each record in the same critical section, so the
+     * hook sees `done` strictly increasing. */
     using ProgressFn = std::function<void(const RunRecord &)>;
 
     /**
@@ -127,6 +129,8 @@ class SweepRunner
     Stats _stats;
     std::vector<RunRecord> _records;
 
+    /** Serializes the hooks; when both are held it is taken before
+     * _mu. */
     std::mutex _progressMu;
     ProgressFn _progress;
     StartFn _start;

@@ -11,6 +11,9 @@
 #ifndef SLIP_TLB_PAGE_TABLE_HH
 #define SLIP_TLB_PAGE_TABLE_HH
 
+#include <array>
+#include <cstddef>
+
 #include "cache/line.hh"
 #include "mem/types.hh"
 #include "util/flat_map.hh"
@@ -28,7 +31,16 @@ struct Pte
     std::uint32_t updates = 0;
 };
 
-/** Functional page table; PTEs are created on first touch. */
+/**
+ * Functional page table; PTEs are created on first touch.
+ *
+ * pte() first checks a small direct-mapped cache of recent pages that
+ * points straight at PageMap's reference-stable values, so the common
+ * repeat lookup skips the hash probe. The cache is mutable lookup
+ * state: one thread owns it (the serial loop or the pipeline's merge
+ * stage; a full-front front end only calls pteLine), and the table is
+ * non-copyable so no copy can keep pointers into another's map.
+ */
 class PageTable
 {
   public:
@@ -42,15 +54,23 @@ class PageTable
         : _defaultPolicies(default_policies), _base(pte_region_base_line)
     {}
 
+    PageTable(const PageTable &) = delete;
+    PageTable &operator=(const PageTable &) = delete;
+
     /** The PTE of @p page (created in the sampling state on demand). */
     Pte &
     pte(Addr page)
     {
-        return _map.getOrCreate(page, [this] {
+        Recent &r = _recent[page & (kRecent - 1)];
+        if (r.pte != nullptr && r.page == page)
+            return *r.pte;
+        Pte &p = _map.getOrCreate(page, [this] {
             Pte fresh;
             fresh.policies = _defaultPolicies;
             return fresh;
         });
+        r = Recent{page, &p};
+        return p;
     }
 
     /** Line address of the PTE line for @p page (8 PTEs per line). */
@@ -59,9 +79,19 @@ class PageTable
     std::size_t pagesTouched() const { return _map.size(); }
 
   private:
+    static constexpr std::size_t kRecent = 256;
+
+    /** One direct-mapped entry; pte == nullptr marks it empty. */
+    struct Recent
+    {
+        Addr page = 0;
+        Pte *pte = nullptr;
+    };
+
     PolicyPair _defaultPolicies;
     Addr _base;
     PageMap<Pte> _map;
+    std::array<Recent, kRecent> _recent{};
 };
 
 } // namespace slip

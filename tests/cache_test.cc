@@ -7,9 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "cache/cache_level.hh"
 #include "cache/level_controller.hh"
 #include "energy/energy_params.hh"
+#include "util/random.hh"
 
 namespace slip {
 namespace {
@@ -267,6 +271,72 @@ TEST(CacheLevelTest, ReuseHistogramOnEviction)
         l2.recordHit(set, 0, false, AccessClass::Demand, false);
     l2.evictLine(set, 0);
     EXPECT_EQ(l2.stats().reuseHistogram[3], 1u);
+}
+
+/** The 8-bit hit counter saturates instead of wrapping: a line hit
+ *  300 times (past 255 and past 256 + 3) still lands in NR > 2, on
+ *  eviction and on invalidation alike. */
+TEST(CacheLevelTest, HitCountSaturates)
+{
+    CacheLevel l2(smallL2());
+    const Addr line = 0x31;
+    const unsigned set = l2.setIndex(line);
+    for (int round = 0; round < 2; ++round) {
+        l2.installLine(set, 0, line, false, PolicyPair{},
+                       InsertClass::Default);
+        for (int i = 0; i < 300; ++i)
+            l2.recordHit(set, 0, false, AccessClass::Demand, false);
+        EXPECT_EQ(l2.lineAt(set, 0).hitCount, 255u);
+        if (round == 0)
+            l2.evictLine(set, 0);
+        else
+            EXPECT_TRUE(l2.invalidate(line));
+    }
+    EXPECT_EQ(l2.stats().reuseHistogram[3], 2u);
+    EXPECT_EQ(l2.stats().reuseHistogram[0], 0u);
+}
+
+/** Reference LRU rank: ascending scan, minimum stamp, "<=" so the
+ *  highest way wins a tie. */
+unsigned
+referenceLruVictim(const std::vector<std::uint64_t> &stamps,
+                   std::uint32_t mask)
+{
+    unsigned best = ~0u;
+    std::uint64_t best_stamp = ~0ull;
+    for (unsigned w = 0; w < stamps.size(); ++w) {
+        if (((mask >> w) & 1) && stamps[w] <= best_stamp) {
+            best_stamp = stamps[w];
+            best = w;
+        }
+    }
+    return best;
+}
+
+TEST(ReplacementTest, PackedLruVictimMatchesReferenceScan)
+{
+    Random rng(42);
+    for (unsigned ways : {8u, 16u, 32u}) {
+        SCOPED_TRACE(ways);
+        const std::uint32_t full =
+            ways == 32 ? ~0u : (1u << ways) - 1;
+        std::vector<std::uint64_t> stamps(ways);
+        for (int trial = 0; trial < 20000; ++trial) {
+            // Narrow stamp ranges make ties; wide ones reach the top
+            // of the supported 2^59 range.
+            const std::uint64_t range =
+                trial % 2 ? 8 : (std::uint64_t{1} << 59) - 1;
+            for (auto &st : stamps)
+                st = rng.below(range);
+            std::uint32_t mask = 0;
+            while (mask == 0)
+                mask = static_cast<std::uint32_t>(rng.next()) & full;
+            ASSERT_EQ(ReplacementPolicy::lruVictim(stamps.data(), ways,
+                                                   mask),
+                      referenceLruVictim(stamps, mask))
+                << "mask 0x" << std::hex << mask;
+        }
+    }
 }
 
 TEST(CacheLevelTest, MovementQueueDisabledNoEnergy)

@@ -49,11 +49,16 @@ namespace {
 constexpr std::uint64_t kGoldenRefs = 40000;
 constexpr std::uint64_t kGoldenWarmup = 40000;
 
+/** tests/golden/<benchmark>.<policy>[.<repl>].txt; LRU has no suffix. */
 std::string
-fixturePath(const std::string &benchmark, PolicyKind policy)
+fixturePath(const std::string &benchmark, PolicyKind policy,
+            ReplKind repl = ReplKind::Lru)
 {
-    return std::string(SLIP_GOLDEN_DIR) + "/" + benchmark + "." +
-           policyName(policy) + ".txt";
+    std::string path = std::string(SLIP_GOLDEN_DIR) + "/" + benchmark +
+                       "." + policyName(policy);
+    if (repl != ReplKind::Lru)
+        path += std::string(".") + replCliName(repl);
+    return path + ".txt";
 }
 
 /** FNV-1a, printed on mismatch so CI logs identify fixture versions. */
@@ -70,11 +75,15 @@ fnv1a(const std::string &s)
 
 std::string
 simulate(const std::string &benchmark, PolicyKind policy,
-         unsigned run_threads = 1)
+         unsigned run_threads = 1, ReplKind repl = ReplKind::Lru)
 {
     SystemConfig cfg;
     cfg.policy = policy;
     cfg.runThreads = run_threads;
+    cfg.repl = repl;
+    // As `slip-sim --repl rrip`: the Section 7 variant pairs RRIP
+    // with the randomized sublevel victim.
+    cfg.randomSublevelVictim = repl == ReplKind::Rrip;
     auto w = makeSpecWorkload(benchmark);
     System sys(cfg);
     sys.run({w.get()}, kGoldenRefs, kGoldenWarmup);
@@ -113,17 +122,16 @@ readableDiff(const std::string &want, const std::string &got,
     return out.empty() ? std::string("  (no line differences?)") : out;
 }
 
-class GoldenStatsTest
-    : public ::testing::TestWithParam<
-          std::tuple<std::string, PolicyKind>>
+using GoldenCase = std::tuple<std::string, PolicyKind, ReplKind>;
+
+class GoldenStatsTest : public ::testing::TestWithParam<GoldenCase>
 {};
 
 TEST_P(GoldenStatsTest, MatchesFixture)
 {
-    const std::string &benchmark = std::get<0>(GetParam());
-    const PolicyKind policy = std::get<1>(GetParam());
-    const std::string path = fixturePath(benchmark, policy);
-    const std::string got = simulate(benchmark, policy);
+    const auto &[benchmark, policy, repl] = GetParam();
+    const std::string path = fixturePath(benchmark, policy, repl);
+    const std::string got = simulate(benchmark, policy, 1, repl);
 
     if (std::getenv("SLIP_GOLDEN_REGEN")) {
         std::ofstream os(path, std::ios::binary);
@@ -149,32 +157,47 @@ TEST_P(GoldenStatsTest, MatchesFixture)
 
     // The pipelined run (--run-threads) is an execution strategy, not
     // a configuration: every fixture must also hold at 4 threads.
-    const std::string piped = simulate(benchmark, policy, 4);
+    const std::string piped = simulate(benchmark, policy, 4, repl);
     EXPECT_EQ(want, piped)
         << "run_threads=4 diverged from the serial dump for " << path
         << "\n"
         << readableDiff(want, piped);
 }
 
-std::vector<std::tuple<std::string, PolicyKind>>
+/**
+ * Every workload under Baseline and SLIP with LRU (the evaluation's
+ * replacement), plus the other replacement paths on soplex: RRIP under
+ * Baseline and SLIP (aging, bimodal insertion and the randomized
+ * sublevel victim), random replacement under SLIP, and LRU-PEA under
+ * RRIP, whose demoted-line preference has no recency to rank by and
+ * so takes the highest demoted way. The non-LRU fixtures were
+ * generated before replacement state moved out of CacheLine.
+ */
+std::vector<GoldenCase>
 goldenCases()
 {
-    std::vector<std::tuple<std::string, PolicyKind>> cases;
+    std::vector<GoldenCase> cases;
     for (const auto &b : specBenchmarks())
         for (PolicyKind p : {PolicyKind::Baseline, PolicyKind::Slip})
-            cases.emplace_back(b, p);
+            cases.emplace_back(b, p, ReplKind::Lru);
+    cases.emplace_back("soplex", PolicyKind::Baseline, ReplKind::Rrip);
+    cases.emplace_back("soplex", PolicyKind::Slip, ReplKind::Rrip);
+    cases.emplace_back("soplex", PolicyKind::Slip, ReplKind::Random);
+    cases.emplace_back("soplex", PolicyKind::LruPea, ReplKind::Rrip);
     return cases;
 }
 
 std::string
-caseName(const ::testing::TestParamInfo<
-         std::tuple<std::string, PolicyKind>> &info)
+caseName(const ::testing::TestParamInfo<GoldenCase> &info)
 {
-    std::string n = std::get<0>(info.param);
+    const auto &[benchmark, policy, repl] = info.param;
+    std::string n = benchmark + "_" + policyName(policy);
+    if (repl != ReplKind::Lru)
+        n += std::string("_") + replCliName(repl);
     for (char &c : n)
         if (!std::isalnum(static_cast<unsigned char>(c)))
             c = '_';
-    return n + "_" + policyName(std::get<1>(info.param));
+    return n;
 }
 
 INSTANTIATE_TEST_SUITE_P(SpecSuite, GoldenStatsTest,

@@ -20,14 +20,19 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "cache/replacement.hh"
 #include "energy/topology.hh"
+#include "mem/trace_io.hh"
 #include "obs/energy_ledger.hh"
 #include "obs/metrics.hh"
 #include "scenario/canonical.hh"
@@ -37,6 +42,7 @@
 #include "sim/system.hh"
 #include "sweep/run_spec.hh"
 #include "workloads/spec_suite.hh"
+#include "workloads/trace_workload.hh"
 
 #ifndef SLIP_SCENARIO_DIR
 #error "SLIP_SCENARIO_DIR must point at the checked-in scenarios/"
@@ -641,6 +647,96 @@ TEST(ScenarioEndToEnd, SharedCoherentLlcSlipGolden)
         ASSERT_TRUE(probe.levelUnit(1, 0).config().movementQueueEnabled);
     }
     checkSharedGolden(s, "shared4.SLIP.txt");
+}
+
+/**
+ * Memory stays flat on a looped trace replay: a 4-core capture of
+ * soplex (20k references per core) replayed 20 times through the
+ * SLIP+ABP variant of hier3_shared4. The first pass touches every page
+ * of the trace, so the distribution-metadata map stops growing there,
+ * and the coherent LLC's sharer words are the fixed per-way array
+ * allocated at construction.
+ *
+ * The page table is bounded, not flat: a writeback of a PTE- or
+ * metadata-region line looks up that line's page too, creating a PTE
+ * for a reserved-region page the first time such a line is written
+ * back. So after pass 1 it may only grow by reserved-region pages that
+ * the trace's own pages map to.
+ */
+TEST(ScenarioEndToEnd, LoopedTraceReplayKeepsMemoryFlat)
+{
+    constexpr std::uint64_t kRefs = 20000;
+    Scenario s;
+    ASSERT_EQ(loadScenarioFile(std::string(SLIP_SCENARIO_DIR) +
+                                   "/hier3_shared4.json",
+                               s),
+              "");
+    s.policy = "slip+abp";
+    s.hierarchy.levels[1].policy.clear();  // inherit slip+abp
+    const std::string trace =
+        (std::filesystem::temp_directory_path() /
+         ("slip_flat_" + std::to_string(::getpid()) + ".trc2"))
+            .string();
+    ASSERT_EQ(captureWorkloadTrace("soplex", s.cores, kRefs, 0, trace),
+              "");
+
+    SystemConfig cfg = scenarioSystemConfig(s);
+    cfg.runThreads = 1;
+    ASSERT_EQ(cfg.rdBlockPages, 1u);  // PTEs are keyed by page
+    System sys(cfg);
+    const unsigned llc = sys.numLevels() - 1;
+    ASSERT_TRUE(sys.coherenceEnabled());
+    const auto sharerWords = [&] {
+        std::size_t n = 0;
+        for (unsigned u = 0; u < sys.levelUnits(llc); ++u)
+            n += sys.levelUnit(llc, u).sharerWords();
+        return n;
+    };
+    std::size_t llc_lines = 0;
+    for (unsigned u = 0; u < sys.levelUnits(llc); ++u)
+        llc_lines += sys.levelUnit(llc, u).numLines();
+    EXPECT_EQ(sharerWords(), llc_lines);
+
+    // The trace's pages, and the reserved-region pages holding their
+    // PTE and metadata lines.
+    std::unordered_set<Addr> pages, reserved;
+    {
+        TraceReader reader;
+        ASSERT_EQ(reader.open(trace), "");
+        TraceRecord rec;
+        std::string err;
+        while (reader.next(rec, err)) {
+            const Addr p = pageAddr(rec.addr);
+            pages.insert(p);
+            reserved.insert(pageOfLine(sys.pageTable().pteLine(p)));
+            reserved.insert(
+                pageOfLine(sys.metadataStore().metadataLine(p)));
+        }
+        ASSERT_EQ(err, "");
+    }
+
+    std::vector<std::unique_ptr<AccessSource>> owned;
+    std::vector<AccessSource *> sources;
+    for (unsigned c = 0; c < s.cores; ++c) {
+        owned.push_back(makeMixSource("trace:" + trace, c));
+        sources.push_back(owned.back().get());
+    }
+    std::size_t metadata = 0;
+    for (int pass = 0; pass < 20; ++pass) {
+        SCOPED_TRACE("pass " + std::to_string(pass));
+        sys.run(sources, kRefs, 0);
+        const std::size_t touched = sys.pageTable().pagesTouched();
+        EXPECT_GE(touched, pages.size());
+        EXPECT_LE(touched, pages.size() + reserved.size());
+        if (pass == 0) {
+            metadata = sys.metadataStore().pagesTracked();
+            EXPECT_GT(metadata, 0u);
+            EXPECT_LE(metadata, pages.size());
+        }
+        EXPECT_EQ(sys.metadataStore().pagesTracked(), metadata);
+        EXPECT_EQ(sharerWords(), llc_lines);
+    }
+    std::filesystem::remove(trace);
 }
 
 } // namespace

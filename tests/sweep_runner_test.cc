@@ -16,6 +16,7 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,7 +25,9 @@
 
 #include "sweep/result_cache.hh"
 #include "sweep/run_result.hh"
+#include "sweep/status_stream.hh"
 #include "sweep/sweep_runner.hh"
+#include "util/json.hh"
 #include "workloads/spec_suite.hh"
 
 namespace slip {
@@ -260,6 +263,68 @@ TEST(ResultCache, DisabledCacheNeverHitsOrStores)
     EXPECT_FALSE(cache.lookup("anything", out));
     cache.store("anything", sampleResult());  // must not crash
     EXPECT_FALSE(cache.lookup("anything", out));
+}
+
+/**
+ * Finish events reach the progress hook, and the NDJSON status stream,
+ * in completion order: `done` and `ts_ms` strictly increase line by
+ * line. 200 disk-cache hits per pass keep four workers finishing
+ * within microseconds of each other, where numbering a record apart
+ * from delivering it (or stamping it before taking the stream lock)
+ * reorders lines.
+ */
+TEST(SweepRunner, FinishEventsArriveInDoneOrder)
+{
+    TempCacheDir dir;
+    const ResultCache cache(dir.path());
+    const RunResult r = sampleResult();
+    std::vector<RunSpec> specs;
+    for (unsigned i = 0; i < 200; ++i) {
+        SweepOptions opts = tinyOptions();
+        opts.refs = 1000 + i;
+        specs.push_back(RunSpec::single("gcc", PolicyKind::Baseline, opts));
+        cache.store(specs.back().key(), r);
+    }
+
+    const std::string path = dir.path() + "/status.ndjson";
+    for (int pass = 0; pass < 20; ++pass) {
+        SCOPED_TRACE("pass " + std::to_string(pass));
+        std::vector<std::size_t> dones;
+        {
+            std::unique_ptr<StatusStream> ss =
+                StatusStream::open(path, nullptr);
+            ASSERT_TRUE(ss);
+            SweepRunner runner(4, cache);
+            runner.setProgress([&](const SweepRunner::RunRecord &rec) {
+                dones.push_back(rec.done);
+                ss->emitFinish(rec);
+            });
+            for (const RunSpec &spec : specs)
+                runner.enqueue(spec);
+            runner.wait();
+            EXPECT_EQ(runner.stats().cacheHits, specs.size());
+        }
+        ASSERT_EQ(dones.size(), specs.size());
+        for (std::size_t i = 0; i < dones.size(); ++i)
+            ASSERT_EQ(dones[i], i + 1) << "hook call " << i;
+
+        std::ifstream is(path);
+        std::string line;
+        double last_ts = -1.0, last_done = 0.0;
+        std::size_t lines = 0;
+        while (std::getline(is, line)) {
+            json::Value v;
+            ASSERT_TRUE(json::Value::parse(line, v)) << line;
+            const double ts = v["ts_ms"].asDouble();
+            const double done = v["done"].asDouble();
+            ASSERT_GT(ts, last_ts) << "line " << lines;
+            ASSERT_GT(done, last_done) << "line " << lines;
+            last_ts = ts;
+            last_done = done;
+            ++lines;
+        }
+        EXPECT_EQ(lines, specs.size());
+    }
 }
 
 /** resetStats() starts a fresh accounting window: the orchestrator

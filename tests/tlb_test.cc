@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+#include <unordered_map>
+
 #include "tlb/page_table.hh"
 #include "tlb/tlb.hh"
+#include "util/random.hh"
 
 namespace slip {
 namespace {
@@ -94,6 +98,37 @@ TEST(PageTableTest, UpdatesPersist)
     EXPECT_FALSE(again.sampling);
     EXPECT_TRUE(again.dirty);
 }
+
+/** pte() answers from its recent-page cache with the very object the
+ *  map holds: over a random page sequence long enough to grow the map
+ *  several times, every page keeps the address it got on first touch
+ *  and the updates made through it. */
+TEST(PageTableTest, RecentPageCacheReturnsMapObjects)
+{
+    PageTable pt;
+    Random rng(7);
+    std::unordered_map<Addr, Pte *> first;
+    for (int i = 0; i < 200000; ++i) {
+        // Mostly a hot set that aliases in the cache, sometimes a page
+        // from a range wide enough to force map growth.
+        const Addr page = rng.oneIn(4) ? rng.below(20000)
+                                       : rng.below(512) * 256;
+        Pte &pte = pt.pte(page);
+        const auto [it, fresh] = first.emplace(page, &pte);
+        ASSERT_EQ(it->second, &pte) << "page " << page;
+        if (!fresh)
+            ASSERT_EQ(pte.updates, static_cast<std::uint32_t>(page))
+                << "page " << page;
+        pte.updates = static_cast<std::uint32_t>(page);
+    }
+    EXPECT_EQ(pt.pagesTouched(), first.size());
+    EXPECT_GT(first.size(), 8u * 1024);  // several grows past 1024
+}
+
+/** The cache points into the table's own map, so a copy would keep
+ *  pointers into another table's values. */
+static_assert(!std::is_copy_constructible_v<PageTable>);
+static_assert(!std::is_copy_assignable_v<PageTable>);
 
 TEST(PageTableTest, PteLinePacking)
 {

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <regex>
 #include <string>
 #include <vector>
 
@@ -172,6 +173,59 @@ TEST(TraceRoundTripTest, TextGzip)
         r.icountDelta = 1;
     roundTrip(recs, 1, TraceFormat::Text,
               tempPath("rt_text_gz.trc.gz"));
+}
+#endif
+
+/** Encoded size of a LEB128 varint. */
+std::size_t
+varintBytes(std::uint64_t v)
+{
+    std::size_t n = 1;
+    while (v >= 0x80) {
+        v >>= 7;
+        ++n;
+    }
+    return n;
+}
+
+/**
+ * Round trip of a single-core SLIPTRC2 capture longer than two 256 KiB
+ * read windows, asserting from the encoding that a record straddles
+ * each window edge: the reader decodes whole records in place while
+ * the window holds a maximal one, and byte-wise across a refill.
+ */
+void
+windowEdgeRoundTrip(const std::string &path)
+{
+    constexpr std::uint64_t kWindow = 1u << 18;
+    const auto recs = makeRecords(1, 100000, 11);
+    std::uint64_t off = 32, prev = 0;
+    unsigned straddles = 0;
+    for (const TraceRecord &r : recs) {
+        const std::int64_t delta = static_cast<std::int64_t>(r.addr - prev);
+        const std::uint64_t zz = (static_cast<std::uint64_t>(delta) << 1) ^
+                                 static_cast<std::uint64_t>(delta >> 63);
+        const std::uint64_t end =
+            off + 1 + varintBytes(zz) + varintBytes(r.icountDelta);
+        if (off / kWindow != (end - 1) / kWindow)
+            ++straddles;
+        off = end;
+        prev = r.addr;
+    }
+    ASSERT_EQ(straddles, 2u) << "the capture must cross two window edges "
+                                "inside a record (" << off << " bytes)";
+    roundTrip(recs, 1, TraceFormat::Sliptrc2, path);
+}
+
+TEST(TraceRoundTripTest, Sliptrc2AcrossReadWindows)
+{
+    windowEdgeRoundTrip(tempPath("rt2_windows.trc2"));
+}
+
+#ifdef SLIP_HAVE_ZLIB
+TEST(TraceRoundTripTest, Sliptrc2AcrossReadWindowsGzip)
+{
+    windowEdgeRoundTrip(tempPath("rt2_windows_gz.trc2.gz"));
 }
 #endif
 
@@ -387,6 +441,97 @@ TEST(TraceMalformedTest, EveryCaseYieldsNamedError)
         EXPECT_NE(err.find(c.expect), std::string::npos) << err;
         if (c.expectOffset)
             EXPECT_NE(err.find("offset"), std::string::npos) << err;
+        std::filesystem::remove(path);
+    }
+}
+
+/** @p err with every "offset N" moved by @p shift. */
+std::string
+shiftOffsets(const std::string &err, std::uint64_t shift)
+{
+    static const std::regex offset("offset ([0-9]+)");
+    std::string out;
+    std::sregex_iterator it(err.begin(), err.end(), offset), end;
+    std::size_t tail = 0;
+    for (; it != end; ++it) {
+        out += err.substr(tail, std::size_t(it->position()) - tail);
+        out += "offset " +
+               std::to_string(std::stoull((*it)[1].str()) + shift);
+        tail = std::size_t(it->position() + it->length());
+    }
+    return out + err.substr(tail);
+}
+
+/**
+ * The record-level SLIPTRC2 cases again, with 64 valid records before
+ * the bad one (and 64 after it where the case allows bytes after it),
+ * so the whole-record decoder meets the bad record with a full window
+ * and must hand it to the byte-wise path. Message and offset are those
+ * of the bare case, shifted by the prefix; the record counts in the
+ * two end-of-file messages grow by the 64 prefix records.
+ */
+TEST(TraceMalformedTest, BadRecordAmidValidRecordsKeepsMessage)
+{
+    constexpr unsigned kPad = 64;
+    const std::vector<std::uint8_t> good{0x00, 0x02, 0x01};
+    std::vector<std::uint8_t> pad;
+    for (unsigned i = 0; i < kPad; ++i)
+        pad = cat(pad, good);
+
+    struct Embed
+    {
+        const char *name;
+        bool atEnd;  ///< the case's bad bytes must end the file
+        /** Expected message counts after the prefix ("" = unchanged). */
+        const char *from, *to;
+    };
+    const Embed embeds[] = {
+        {"invalid_record_flags", false, "", ""},
+        {"impossible_core_id", false, "", ""},
+        {"varint_overrun", false, "", ""},
+        {"truncated_varint", true, "", ""},
+        {"eof_before_record_count", true, "after 1 of 2 records",
+         "after 65 of 66 records"},
+        {"trailing_garbage", true, "the 1 records", "the 65 records"},
+    };
+    const auto cases = malformedCases();
+    for (const Embed &e : embeds) {
+        SCOPED_TRACE(e.name);
+        const MalformedCase *c = nullptr;
+        for (const MalformedCase &m : cases)
+            if (std::string(m.name) == e.name)
+                c = &m;
+        ASSERT_NE(c, nullptr);
+        ASSERT_GT(c->bytes.size(), 32u);
+
+        const std::string path = tempPath(std::string("amid_") + e.name);
+        writeBytes(path, c->bytes);
+        TraceScan scan;
+        std::string want = scanTrace(path, scan);
+        ASSERT_NE(want.find("offset"), std::string::npos) << want;
+        want = shiftOffsets(want, pad.size());
+        if (*e.from) {
+            const std::size_t at = want.find(e.from);
+            ASSERT_NE(at, std::string::npos) << want;
+            want.replace(at, std::string(e.from).size(), e.to);
+        }
+
+        // Header with the record count raised by the added records.
+        std::vector<std::uint8_t> bytes(c->bytes.begin(),
+                                        c->bytes.begin() + 32);
+        std::uint64_t count = 0;
+        for (int i = 0; i < 8; ++i)
+            count |= std::uint64_t(bytes[24 + i]) << (8 * i);
+        count += e.atEnd ? kPad : 2 * kPad;
+        for (int i = 0; i < 8; ++i)
+            bytes[24 + i] = std::uint8_t(count >> (8 * i));
+        bytes = cat(bytes, pad);
+        bytes.insert(bytes.end(), c->bytes.begin() + 32, c->bytes.end());
+        if (!e.atEnd)
+            bytes = cat(bytes, pad);
+
+        writeBytes(path, bytes);
+        EXPECT_EQ(scanTrace(path, scan), want);
         std::filesystem::remove(path);
     }
 }
